@@ -7,14 +7,15 @@
 //! cross-validation engines actually pay per point.  The `gbdt_fit_*` benches
 //! isolate the boosting trainer itself (120 trees, the paper's setting) on a
 //! synthetic 128 × 32 design so the pre-sorted tree builder is measured
-//! without any substrate cost.
+//! without any substrate cost; `gbdt_predict_batch_*` time batched forest
+//! inference, including the few-shot 6-row fit every AutoPower sub-model is.
 //!
 //! Run with `cargo bench --bench models [filter] [--json FILE]`.
 
 use autopower::{Corpus, CorpusSpec, ModelKind, PowerModel};
 use autopower_bench::harness::Bench;
 use autopower_config::{boom_configs, ConfigId, Workload};
-use autopower_ml::{GbdtParams, GradientBoosting, Matrix};
+use autopower_ml::{GbdtParams, GradientBoosting, Matrix, Regressor};
 use std::hint::black_box;
 
 /// Synthetic paper-scale regression design: 128 samples × 32 features.
@@ -31,6 +32,12 @@ fn synthetic() -> (Vec<Vec<f64>>, Vec<f64>) {
         .map(|r| r[0] * 2.0 + (r[1] * 0.3).sin() * 5.0 + r[2] * r[3] * 0.01)
         .collect();
     (x, y)
+}
+
+/// Few-shot training design: 6 of the synthetic rows, spread over the range.
+fn few_shot() -> (Vec<Vec<f64>>, Vec<f64>) {
+    let (x, y) = synthetic();
+    (0..6).map(|i| (x[i * 21].clone(), y[i * 21])).unzip()
 }
 
 fn main() {
@@ -58,6 +65,21 @@ fn main() {
         let mut out = Vec::new();
         bench.bench("gbdt_predict_batch_128x32_120trees", || {
             m.forest().predict_into(&matrix, &mut out);
+            black_box(out.last().copied())
+        });
+    }
+    {
+        // The power model's regime: every sub-model is fit on 6 rows (two
+        // known configurations x three workloads), then scores sweep chunks
+        // of 64 configurations x 3 workloads.
+        let (x6, y6) = few_shot();
+        let mut m = GradientBoosting::new(GbdtParams::default());
+        m.fit(&x6, &y6).expect("fit succeeds");
+        let probes: Vec<Vec<f64>> = x.iter().cycle().take(192).cloned().collect();
+        let probes = Matrix::from_rows(&probes);
+        let mut out = Vec::new();
+        bench.bench("gbdt_predict_batch_192x32_6shot_120trees", || {
+            m.forest().predict_into(&probes, &mut out);
             black_box(out.last().copied())
         });
     }

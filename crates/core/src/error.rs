@@ -43,6 +43,14 @@ pub enum AutoPowerError {
     /// (e.g. it does not cover the sweep's workloads, or a sweep finished
     /// with zero audited configurations).
     Surrogate(String),
+    /// A streaming sweep was handed an aggregator built for a different
+    /// number of workloads per configuration than the sweep scores.
+    WorkloadArity {
+        /// Workloads per configuration the aggregator folds.
+        aggregator: usize,
+        /// Workloads per configuration the sweep scores.
+        sweep: usize,
+    },
 }
 
 impl fmt::Display for AutoPowerError {
@@ -101,6 +109,11 @@ impl fmt::Display for AutoPowerError {
             AutoPowerError::Surrogate(message) => {
                 write!(f, "surrogate error: {message}")
             }
+            AutoPowerError::WorkloadArity { aggregator, sweep } => write!(
+                f,
+                "the aggregator folds {aggregator} workload(s) per configuration \
+                 but the sweep scores {sweep}"
+            ),
         }
     }
 }

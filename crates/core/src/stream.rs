@@ -1240,11 +1240,9 @@ impl SweepEngine<'_> {
     ///
     /// # Errors
     ///
-    /// Propagates the first error returned by `after_chunk`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `aggregator` was built for a different workload count.
+    /// Returns [`AutoPowerError::WorkloadArity`] if `aggregator` was built
+    /// for a different workload count than `workloads`, and otherwise
+    /// propagates the first error returned by `after_chunk`.
     pub fn stream(
         &self,
         configs: impl IntoIterator<Item = CpuConfig>,
@@ -1252,11 +1250,12 @@ impl SweepEngine<'_> {
         aggregator: &mut SweepAggregator,
         mut after_chunk: impl FnMut(&SweepAggregator, u64) -> Result<bool, AutoPowerError>,
     ) -> Result<StreamProgress, AutoPowerError> {
-        assert_eq!(
-            aggregator.per_config(),
-            workloads.len(),
-            "aggregator workload arity does not match the sweep"
-        );
+        if aggregator.per_config() != workloads.len() {
+            return Err(AutoPowerError::WorkloadArity {
+                aggregator: aggregator.per_config(),
+                sweep: workloads.len(),
+            });
+        }
         let chunk = self.spec().chunk_configs.max(1);
         let mut source = configs.into_iter();
         let mut buffer: Vec<CpuConfig> = Vec::with_capacity(chunk);
@@ -1821,6 +1820,48 @@ mod tests {
             .unwrap();
         assert!(tail.complete);
         assert_eq!(resumed, one_shot, "resumed state diverged from one-shot");
+    }
+
+    #[test]
+    fn streaming_driver_refuses_a_mismatched_aggregator_without_folding() {
+        let cfgs = boom_configs();
+        let corpus = Corpus::generate(
+            &[cfgs[0], cfgs[14]],
+            &[Workload::Dhrystone],
+            &CorpusSpec::fast(),
+        );
+        let model = ModelKind::McpatCalib
+            .train(&corpus, &[ConfigId::new(1), ConfigId::new(15)])
+            .unwrap();
+        let engine = SweepEngine::new(model.as_ref(), SweepSpec::fast());
+        let stream_spec = StreamSpec {
+            top_k: 5,
+            sketch_level_capacity: 32,
+        };
+        let mut aggregator = SweepAggregator::new(3, &stream_spec);
+        let untouched = aggregator.clone();
+        let mut calls = 0;
+        let err = engine
+            .stream(
+                DesignSpace::boom().sample(4, 5),
+                &[Workload::Dhrystone, Workload::Qsort],
+                &mut aggregator,
+                |_, _| {
+                    calls += 1;
+                    Ok(true)
+                },
+            )
+            .unwrap_err();
+        assert_eq!(
+            err,
+            AutoPowerError::WorkloadArity {
+                aggregator: 3,
+                sweep: 2
+            }
+        );
+        assert!(err.to_string().contains("3 workload(s)"), "{err}");
+        assert_eq!(calls, 0, "no chunk may run against a mismatched aggregator");
+        assert_eq!(aggregator, untouched);
     }
 
     #[test]

@@ -1,20 +1,45 @@
-//! Flat-forest inference: a fitted boosting ensemble compiled into one
-//! contiguous node array.
+//! Flat-forest inference: a fitted boosting ensemble compiled into its
+//! distinct tree *shapes* plus one leaf table per tree.
 //!
-//! The boxed [`RegressionTree`](crate::RegressionTree) nodes are the natural
-//! fit/serde representation, but traversing them pointer-chases one heap
-//! allocation per node.  A [`FlatForest`] lays every node of every tree out
-//! preorder in a single packed 16-byte-node array — split feature, threshold
-//! (or inline leaf weight) and right-child index per node; the left child is
-//! implicitly the next node — so a prediction walks index arithmetic over one
-//! cache line per node.  (A four-array struct-of-arrays variant was measured
-//! slower here: it touches one cache line *per array* per node.)  The
-//! accumulation order is exactly the recursive ensemble's
-//! (`base_score + Σ learning_rate · leaf`), so flat predictions are
-//! **bit-identical** to the recursive ones — pinned by the parity proptests.
+//! A tree's shape is everything that decides which leaf a row reaches: the
+//! split features, the split thresholds and the node layout.  The leaf
+//! weights are not part of it.  Few-shot fits reuse shapes heavily: a
+//! boosting round over six training rows can only pick among a handful of
+//! thresholds, so round after round grows the same splits with new leaf
+//! weights (the trained AutoPower model has ~1,000 distinct shapes in
+//! ~12,500 trees).  A [`FlatForest`] therefore stores
+//!
+//! * every distinct shape once, preorder in one packed 16-byte-node array
+//!   (split feature, threshold and right-child index per node; the left child
+//!   is implicitly the next node), and
+//! * per tree, in boosting order, its shape index and its leaf weights
+//!   already multiplied by the learning rate, in the shape's leaf-slot order.
+//!
+//! To score a row, each shape is walked **once** to find its leaf slot; then
+//! every tree adds `leaves[slot of its shape]` to the accumulator, trees in
+//! boosting order.
+//!
+//! # Why the result is bit-identical to the recursive ensemble
+//!
+//! * The leaf a tree reaches depends only on its shape (the compare
+//!   `x[feature] <= threshold` sends NaN right in both walks), so the shared
+//!   walk picks exactly the leaf the tree's own walk would.
+//! * `learning_rate · leaf` is one IEEE-754 multiplication either way;
+//!   computing it at compile time gives the same bits as computing it per
+//!   row.
+//! * The accumulator adds the same terms in the same (boosting) order as
+//!   `base_score + Σ learning_rate · leaf`.
+//!
+//! Trees whose leaves are all `±0.0` are dropped at compile time (see
+//! [`all_leaves_zero`]), which is also a bitwise no-op.  The parity
+//! proptests below and `tests/training_parity.rs` pin all of this against
+//! [`GradientBoosting::predict_recursive`](crate::GradientBoosting::predict_recursive).
 
 use crate::matrix::Matrix;
 use crate::tree::{Node, RegressionTree};
+use std::cell::RefCell;
+use std::collections::HashMap;
+use std::hint::select_unpredictable;
 
 /// Depth of a tree rooted at `node` (a bare leaf has depth 0).
 fn node_depth(node: &Node) -> u32 {
@@ -33,8 +58,8 @@ fn node_depth(node: &Node) -> u32 {
 /// cancellation yields `+0.0`), so the accumulator is never `-0.0` and
 /// `acc + ±0.0` returns `acc` bit for bit.  Boosting drives residuals to
 /// exactly zero on the few-shot training sets this crate targets, so late
-/// rounds routinely emit these all-zero trees — skipping their walks is pure
-/// saved work, pinned bit-identical by the flat-vs-recursive parity tests.
+/// rounds routinely emit these all-zero trees — skipping them is pure saved
+/// work, pinned bit-identical by the flat-vs-recursive parity tests.
 fn all_leaves_zero(node: &Node) -> bool {
     match node {
         Node::Leaf { weight } => *weight == 0.0,
@@ -42,22 +67,57 @@ fn all_leaves_zero(node: &Node) -> bool {
     }
 }
 
-/// Sentinel in [`FlatNode::feature`] marking a leaf node (the `threshold`
-/// slot then holds the leaf weight).
+/// Sentinel in [`FlatNode::feature`] marking a leaf node (its `right` slot
+/// then holds the leaf slot number).
 const LEAF: u32 = u32::MAX;
 
-/// One packed node: 16 bytes, preorder layout (left child at `index + 1`).
+/// One packed shape node: 16 bytes, preorder layout (left child at
+/// `index + 1`).
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct FlatNode {
     /// Split feature index; [`LEAF`] marks a leaf.
     feature: u32,
-    /// Right-child node index (`x[feature] > threshold`); unused on leaves.
+    /// Right-child node index (`x[feature] > threshold`), or the leaf slot
+    /// number on leaves.
     right: u32,
-    /// Split threshold, or the leaf weight on leaves (leaves inline).
+    /// Split threshold (unused on leaves).
     threshold: f64,
 }
 
-/// A boosted ensemble compiled for cache-friendly, allocation-free inference.
+impl FlatNode {
+    /// The dedup key of a node: bit-exact, so `-0.0` and `+0.0` thresholds
+    /// stay distinct shapes (conservative; they route rows identically).
+    fn key(self) -> [u64; 2] {
+        [
+            (u64::from(self.feature) << 32) | u64::from(self.right),
+            self.threshold.to_bits(),
+        ]
+    }
+}
+
+/// One boosting round: which shape it walks and where its leaves start.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct TreeRef {
+    /// Index into [`FlatForest::shapes`].
+    shape: u32,
+    /// Offset of this tree's scaled leaf weights in [`FlatForest::leaves`].
+    leaves: u32,
+}
+
+/// Rows [`FlatForest::predict_into`] scores together.  Each lane keeps its
+/// leaf sum in a register and the lanes' walks and sums are independent, so
+/// their loads and additions overlap instead of queueing behind one
+/// dependency chain.
+const LANES: usize = 8;
+
+thread_local! {
+    /// Leaf-slot scratch reused by every predict call on this thread.  It
+    /// only grows, so a call neither allocates nor zero-fills once the
+    /// thread has scored its largest forest.
+    static SLOTS: RefCell<Vec<u32>> = const { RefCell::new(Vec::new()) };
+}
+
+/// A boosted ensemble compiled for shape-shared, allocation-light inference.
 ///
 /// Compiled by [`GradientBoosting`](crate::GradientBoosting) at fit and decode
 /// time; obtain one via
@@ -65,383 +125,245 @@ struct FlatNode {
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct FlatForest {
     base_score: f64,
-    learning_rate: f64,
-    /// Every node of every tree, preorder, trees back to back.
+    /// Every distinct shape's nodes, preorder, shapes back to back.  Every
+    /// root-to-leaf path is padded to exactly `depth` steps.
     nodes: Vec<FlatNode>,
-    /// Root node index of each tree, in boosting order.
-    roots: Vec<u32>,
-    /// Depth of the deepest tree (0 = every tree is a bare leaf); bounds the
-    /// fixed-step level-synchronous walk of [`FlatForest::predict_row`].
-    max_depth: u32,
+    /// Root node index of each distinct shape, in order of first use.
+    shapes: Vec<u32>,
+    /// The trees that contribute, in boosting order.
+    trees: Vec<TreeRef>,
+    /// `learning_rate · weight` of every tree's leaves, tree after tree, each
+    /// tree's block in its shape's leaf-slot order.
+    leaves: Vec<f64>,
+    /// Depth of the deepest tree (0 = every tree is a bare leaf): the fixed
+    /// step count of every shape walk.
+    depth: u32,
 }
 
 impl FlatForest {
-    /// Compiles a fitted ensemble into flat storage.
+    /// Compiles a fitted ensemble into shared shapes and per-tree leaves.
     ///
     /// Unfitted trees are skipped (an ensemble mid-`fit` has none); an empty
     /// tree list yields a forest that predicts `base_score` everywhere.
     pub(crate) fn compile(base_score: f64, learning_rate: f64, trees: &[RegressionTree]) -> Self {
-        let mut forest = Self {
-            base_score,
-            learning_rate,
-            ..Self::default()
-        };
-        forest.max_depth = trees
+        // All-zero trees are bitwise no-ops (see `all_leaves_zero`): dropping
+        // them here removes them from every predict path without changing a
+        // single output bit.
+        let live: Vec<&Node> = trees
             .iter()
             .filter_map(RegressionTree::root_node)
             .filter(|root| !all_leaves_zero(root))
-            .map(node_depth)
-            .max()
-            .unwrap_or(0);
-        for tree in trees {
-            if let Some(root) = tree.root_node() {
-                // All-zero trees are bitwise no-ops (see `all_leaves_zero`):
-                // dropping them here removes their walks from every predict
-                // path without changing a single output bit.
-                if all_leaves_zero(root) {
-                    continue;
+            .collect();
+        let mut forest = Self {
+            base_score,
+            depth: live.iter().map(|root| node_depth(root)).max().unwrap_or(0),
+            ..Self::default()
+        };
+        let mut known: HashMap<Vec<u64>, u32> = HashMap::new();
+        let (mut shape, mut key) = (Vec::new(), Vec::new());
+        for root in live {
+            shape.clear();
+            let leaves = index(forest.leaves.len());
+            let mut slots = 0;
+            push_node(
+                root,
+                forest.depth,
+                learning_rate,
+                &mut shape,
+                &mut slots,
+                &mut forest.leaves,
+            );
+            key.clear();
+            key.extend(shape.iter().flat_map(|node| node.key()));
+            let shape_id = match known.get(key.as_slice()) {
+                Some(&id) => id,
+                None => {
+                    let id = index(forest.shapes.len());
+                    let base = index(forest.nodes.len());
+                    forest.shapes.push(base);
+                    forest
+                        .nodes
+                        .extend(shape.iter().map(|&node| match node.feature {
+                            LEAF => node,
+                            _ => FlatNode {
+                                right: node.right + base,
+                                ..node
+                            },
+                        }));
+                    known.insert(key.clone(), id);
+                    id
                 }
-                let idx = forest.push_node(root, forest.max_depth);
-                forest.roots.push(idx);
-            }
+            };
+            forest.trees.push(TreeRef {
+                shape: shape_id,
+                leaves,
+            });
         }
         forest
     }
 
-    /// Flattens `node` with `levels` walk steps left to spend, padding early
-    /// leaves so every root-to-leaf path consumes exactly
-    /// `max_depth` steps.
-    ///
-    /// A leaf reached with steps to spare gets a chain of pass-through splits
-    /// above it — `x[0] <= +∞` always descends left, and the stored right
-    /// child aliases the left so even a NaN probe converges — which lets
-    /// [`FlatForest::predict_row`] walk a fixed step count with no
-    /// leaf-reached check (an unpredictable branch) in its hot loop.  The
-    /// padded tree reaches the same leaf as the original for every input, so
-    /// predictions are unchanged.
-    fn push_node(&mut self, node: &Node, levels: u32) -> u32 {
-        let idx = u32::try_from(self.nodes.len()).expect("forest exceeds u32 node indices");
-        match node {
-            Node::Leaf { .. } if levels > 0 => {
-                self.nodes.push(FlatNode {
-                    feature: 0,
-                    right: idx + 1,
-                    threshold: f64::INFINITY,
-                });
-                let below = self.push_node(node, levels - 1);
-                debug_assert_eq!(below, idx + 1, "padded child is the next node");
-            }
-            Node::Leaf { weight } => {
-                self.nodes.push(FlatNode {
-                    feature: LEAF,
-                    right: 0,
-                    threshold: *weight,
-                });
-            }
-            Node::Split {
-                feature,
-                threshold,
-                left,
-                right,
-            } => {
-                self.nodes.push(FlatNode {
-                    feature: u32::try_from(*feature).expect("feature index fits u32"),
-                    right: 0,
-                    threshold: *threshold,
-                });
-                // Preorder: the left subtree directly follows its parent, so
-                // only the right-child index needs storing.
-                let left_idx = self.push_node(left, levels - 1);
-                debug_assert_eq!(left_idx, idx + 1, "left child is the next node");
-                let right_idx = self.push_node(right, levels - 1);
-                self.nodes[idx as usize].right = right_idx;
-            }
-        }
-        idx
-    }
-
-    /// Number of trees the forest actually walks (all-zero no-op trees are
-    /// dropped at compile time, so this can be less than the fitted
-    /// ensemble's boosting-round count).
+    /// Number of trees the forest sums (all-zero no-op trees are dropped at
+    /// compile time, so this can be less than the fitted ensemble's
+    /// boosting-round count).
     pub fn tree_count(&self) -> usize {
-        self.roots.len()
+        self.trees.len()
     }
 
-    /// Total number of nodes across all trees.
-    pub fn node_count(&self) -> usize {
-        self.nodes.len()
+    /// Number of distinct tree shapes, i.e. walks per scored row.
+    pub fn shape_count(&self) -> usize {
+        self.shapes.len()
     }
 
-    /// The shrunk leaf sum of one tree for one row.
-    #[inline]
-    fn tree_leaf(&self, root: u32, x: &[f64]) -> f64 {
-        let mut i = root as usize;
-        loop {
-            let node = self.nodes[i];
-            if node.feature == LEAF {
-                return node.threshold;
+    /// Writes, for every shape and lane `l`, the leaf slot the shape routes
+    /// `rows[l]` to into `slots[shape * N + l]`.
+    ///
+    /// Every path is padded to `depth` steps, so a walk is a fixed count of
+    /// conditional moves with no leaf-reached check.  The step is a
+    /// [`select_unpredictable`]: split outcomes are data-dependent, and a
+    /// branch on them mispredicts often enough to triple the walk's cost.
+    /// [`FlatForest::score`] calls this with a literal depth for the depths
+    /// the models use, so the inlined step loop unrolls.
+    #[inline(always)]
+    fn walk_shapes<const N: usize>(&self, depth: u32, rows: [&[f64]; N], slots: &mut [u32]) {
+        let nodes = &self.nodes[..];
+        for (&root, shape_slots) in self.shapes.iter().zip(slots.chunks_exact_mut(N)) {
+            for (slot, x) in shape_slots.iter_mut().zip(rows) {
+                let mut i = root as usize;
+                for _ in 0..depth {
+                    let node = nodes[i];
+                    i = select_unpredictable(
+                        x[node.feature as usize] <= node.threshold,
+                        i + 1,
+                        node.right as usize,
+                    );
+                }
+                *slot = nodes[i].right;
             }
-            i = if x[node.feature as usize] <= node.threshold {
-                i + 1
-            } else {
-                node.right as usize
-            };
         }
+    }
+
+    /// Predicts `N` rows: walks every shape once per row, then adds every
+    /// tree's leaf in boosting order.  `slots` is `shape_count() × N` entries
+    /// of scratch.
+    #[inline(always)]
+    fn score<const N: usize>(&self, rows: [&[f64]; N], slots: &mut [u32]) -> [f64; N] {
+        match self.depth {
+            1 => self.walk_shapes(1, rows, slots),
+            2 => self.walk_shapes(2, rows, slots),
+            3 => self.walk_shapes(3, rows, slots),
+            4 => self.walk_shapes(4, rows, slots),
+            depth => self.walk_shapes(depth, rows, slots),
+        }
+        let mut acc = [0.0; N];
+        for tree in &self.trees {
+            let base = tree.leaves as usize;
+            let tree_slots = &slots[tree.shape as usize * N..][..N];
+            for (acc, &slot) in acc.iter_mut().zip(tree_slots) {
+                *acc += self.leaves[base + slot as usize];
+            }
+        }
+        acc.map(|sum| self.base_score + sum)
+    }
+
+    /// Runs `f` with `len` entries of leaf-slot scratch.  The walk writes
+    /// every entry it reads, so stale contents never leak into a result.
+    fn with_slots<T>(len: usize, f: impl FnOnce(&mut [u32]) -> T) -> T {
+        SLOTS.with_borrow_mut(|slots| {
+            if slots.len() < len {
+                slots.resize(len, 0);
+            }
+            f(&mut slots[..len])
+        })
     }
 
     /// Predicts one row: `base_score + Σ learning_rate · leaf`, trees in
     /// boosting order (bit-identical to the recursive ensemble).
-    ///
-    /// The walk is level-synchronous: a block of trees descends one level per
-    /// pass, so the (data-dependent) node loads of independent trees overlap
-    /// instead of serialising behind each other.  Compile-time padding makes
-    /// every path exactly `max_depth` steps long, so the
-    /// descend is a single conditional move per level with no
-    /// leaf-reached check (an unpredictable branch) in the hot loop.  Leaf
-    /// values are still accumulated in boosting order, so the result is
-    /// bit-identical to the sequential walk.
     pub fn predict_row(&self, x: &[f64]) -> f64 {
-        if x.is_empty() || self.max_depth == 0 {
-            return self.predict_row_sequential(x);
-        }
-        // Monomorphised fixed-depth walks for the depths the models use: a
-        // compile-time step count unrolls the descend loop completely.
-        match self.max_depth {
-            1 => self.predict_row_fixed::<1>(x),
-            2 => self.predict_row_fixed::<2>(x),
-            3 => self.predict_row_fixed::<3>(x),
-            4 => self.predict_row_fixed::<4>(x),
-            _ => self.predict_row_blocked(x),
-        }
-    }
-
-    /// The plain one-tree-at-a-time walk (also the bare-leaf/empty-row path).
-    fn predict_row_sequential(&self, x: &[f64]) -> f64 {
-        let mut acc = 0.0;
-        for &root in &self.roots {
-            acc += self.learning_rate * self.tree_leaf(root, x);
-        }
-        self.base_score + acc
-    }
-
-    /// Fixed-depth walk, four trees at a time in locals: `D` is the padded
-    /// uniform depth, so the descend is `D` unrolled conditional-move steps
-    /// per tree and the four chains keep their node loads in flight together.
-    fn predict_row_fixed<const D: u32>(&self, x: &[f64]) -> f64 {
-        debug_assert_eq!(self.max_depth, D);
-        let mut acc = 0.0;
-        let mut quads = self.roots.chunks_exact(8);
-        for quad in quads.by_ref() {
-            let mut idx = [0usize; 8];
-            for (slot, &root) in idx.iter_mut().zip(quad) {
-                *slot = root as usize;
-            }
-            for _ in 0..D {
-                for slot in &mut idx {
-                    let node = self.nodes[*slot];
-                    *slot = if x[node.feature as usize] <= node.threshold {
-                        *slot + 1
-                    } else {
-                        node.right as usize
-                    };
-                }
-            }
-            // Leaf sums stay in boosting order: the strips partition the roots
-            // sequentially, so the result is bit-identical to the plain walk.
-            for &slot in &idx {
-                acc += self.learning_rate * self.nodes[slot].threshold;
-            }
-        }
-        for &root in quads.remainder() {
-            acc += self.learning_rate * self.tree_leaf(root, x);
-        }
-        self.base_score + acc
-    }
-
-    /// Level-synchronous walk for unusually deep forests: a block of trees
-    /// descends one level per pass so independent node loads overlap.
-    fn predict_row_blocked(&self, x: &[f64]) -> f64 {
-        const BLOCK: usize = 64;
-        let mut idx = [0u32; BLOCK];
-        let mut acc = 0.0;
-        for roots in self.roots.chunks(BLOCK) {
-            let n = roots.len();
-            idx[..n].copy_from_slice(roots);
-            for _ in 0..self.max_depth {
-                for slot in idx[..n].iter_mut() {
-                    let node = self.nodes[*slot as usize];
-                    *slot = if x[node.feature as usize] <= node.threshold {
-                        *slot + 1
-                    } else {
-                        node.right
-                    };
-                }
-            }
-            for &slot in &idx[..n] {
-                acc += self.learning_rate * self.nodes[slot as usize].threshold;
-            }
-        }
-        self.base_score + acc
+        let [y] = Self::with_slots(self.shapes.len(), |slots| self.score([x], slots));
+        y
     }
 
     /// Batched prediction: scores every row of `x` into `out` (cleared
     /// first).
     ///
-    /// Rows are processed eight at a time: all trees are walked for the group
-    /// (one tree's nodes stay hot across the lanes) and each tree descends the
-    /// eight rows together through the same fixed-depth conditional-move walk
-    /// [`FlatForest::predict_row`] uses — the padded uniform depth removes
-    /// the leaf-reached branch, and the eight independent descents keep
-    /// their node loads in flight together.  Each row's accumulation order
-    /// is still tree-major (boosting order), so every output is
-    /// bit-identical to [`FlatForest::predict_row`].
+    /// Rows are scored eight at a time through the same shape walk and
+    /// leaf sums as [`FlatForest::predict_row`], so every output is
+    /// bit-identical to it.
     pub fn predict_into(&self, x: &Matrix, out: &mut Vec<f64>) {
         out.clear();
         out.resize(x.rows(), 0.0);
-        if x.rows() == 0 {
-            return;
-        }
-        if x.cols() == 0 || self.max_depth == 0 {
-            // Bare-leaf forests (and degenerate empty rows, which the padded
-            // walk cannot probe): the sequential walk is exact and cheap.
-            for (i, slot) in out.iter_mut().enumerate() {
-                *slot = self.predict_row_sequential(x.row(i));
+        Self::with_slots(self.shapes.len() * LANES, |slots| {
+            let mut lanes = out.chunks_exact_mut(LANES);
+            for (g, group) in lanes.by_ref().enumerate() {
+                let rows = std::array::from_fn(|l| x.row(g * LANES + l));
+                group.copy_from_slice(&self.score::<LANES>(rows, slots));
             }
-            return;
-        }
-        match self.max_depth {
-            1 => self.predict_into_fixed::<1>(x, out),
-            2 => self.predict_into_fixed::<2>(x, out),
-            3 => self.predict_into_fixed::<3>(x, out),
-            4 => self.predict_into_fixed::<4>(x, out),
-            _ => self.predict_into_blocked(x, out),
-        }
-        for slot in out.iter_mut() {
-            *slot += self.base_score;
-        }
+            let tail = lanes.into_remainder();
+            let first = x.rows() - tail.len();
+            for (r, y) in (first..).zip(tail) {
+                [*y] = self.score([x.row(r)], &mut slots[..self.shapes.len()]);
+            }
+        });
     }
+}
 
-    /// Fixed-depth batched walk with eight fully scalarised lanes.
-    ///
-    /// The walk state (one node index and one accumulator per row lane) is
-    /// spelled out as named locals rather than arrays: with arrays the
-    /// compiler keeps the lane state on the stack and every level pays a
-    /// store-forwarding round trip, which serialises the supposedly
-    /// independent descents.  Named locals stay in registers, so the eight
-    /// dependent load chains (node → feature → compare → next node) actually
-    /// overlap and the walk runs at memory-level-parallelism speed.
-    #[allow(clippy::too_many_lines)]
-    fn predict_into_fixed<const D: u32>(&self, x: &Matrix, out: &mut [f64]) {
-        debug_assert_eq!(self.max_depth, D);
-        const LANES: usize = 8;
-        let data = x.data();
-        let cols = x.cols();
-        let rows = x.rows();
-        let nodes = &self.nodes[..];
-        let lr = self.learning_rate;
-        let mut r = 0;
-        while r + LANES <= rows {
-            let b0 = r * cols;
-            let (b1, b2, b3) = (b0 + cols, b0 + 2 * cols, b0 + 3 * cols);
-            let (b4, b5, b6, b7) = (b0 + 4 * cols, b0 + 5 * cols, b0 + 6 * cols, b0 + 7 * cols);
-            let (mut a0, mut a1, mut a2, mut a3) = (0.0f64, 0.0f64, 0.0f64, 0.0f64);
-            let (mut a4, mut a5, mut a6, mut a7) = (0.0f64, 0.0f64, 0.0f64, 0.0f64);
-            for &root in &self.roots {
-                let root = root as usize;
-                let (mut i0, mut i1, mut i2, mut i3) = (root, root, root, root);
-                let (mut i4, mut i5, mut i6, mut i7) = (root, root, root, root);
-                for _ in 0..D {
-                    let n0 = nodes[i0];
-                    let n1 = nodes[i1];
-                    let n2 = nodes[i2];
-                    let n3 = nodes[i3];
-                    let n4 = nodes[i4];
-                    let n5 = nodes[i5];
-                    let n6 = nodes[i6];
-                    let n7 = nodes[i7];
-                    i0 = if data[b0 + n0.feature as usize] <= n0.threshold {
-                        i0 + 1
-                    } else {
-                        n0.right as usize
-                    };
-                    i1 = if data[b1 + n1.feature as usize] <= n1.threshold {
-                        i1 + 1
-                    } else {
-                        n1.right as usize
-                    };
-                    i2 = if data[b2 + n2.feature as usize] <= n2.threshold {
-                        i2 + 1
-                    } else {
-                        n2.right as usize
-                    };
-                    i3 = if data[b3 + n3.feature as usize] <= n3.threshold {
-                        i3 + 1
-                    } else {
-                        n3.right as usize
-                    };
-                    i4 = if data[b4 + n4.feature as usize] <= n4.threshold {
-                        i4 + 1
-                    } else {
-                        n4.right as usize
-                    };
-                    i5 = if data[b5 + n5.feature as usize] <= n5.threshold {
-                        i5 + 1
-                    } else {
-                        n5.right as usize
-                    };
-                    i6 = if data[b6 + n6.feature as usize] <= n6.threshold {
-                        i6 + 1
-                    } else {
-                        n6.right as usize
-                    };
-                    i7 = if data[b7 + n7.feature as usize] <= n7.threshold {
-                        i7 + 1
-                    } else {
-                        n7.right as usize
-                    };
-                }
-                a0 += lr * nodes[i0].threshold;
-                a1 += lr * nodes[i1].threshold;
-                a2 += lr * nodes[i2].threshold;
-                a3 += lr * nodes[i3].threshold;
-                a4 += lr * nodes[i4].threshold;
-                a5 += lr * nodes[i5].threshold;
-                a6 += lr * nodes[i6].threshold;
-                a7 += lr * nodes[i7].threshold;
-            }
-            out[r] = a0;
-            out[r + 1] = a1;
-            out[r + 2] = a2;
-            out[r + 3] = a3;
-            out[r + 4] = a4;
-            out[r + 5] = a5;
-            out[r + 6] = a6;
-            out[r + 7] = a7;
-            r += LANES;
-        }
-        while r < rows {
-            let mut a = 0.0;
-            for &root in &self.roots {
-                a += self.learning_rate * self.tree_leaf(root, x.row(r));
-            }
-            out[r] = a;
-            r += 1;
-        }
-    }
+/// Converts a table length to the `u32` index the packed layout stores.
+fn index(len: usize) -> u32 {
+    u32::try_from(len).expect("forest exceeds u32 indices")
+}
 
-    /// Batched walk for unusually deep forests: the original
-    /// one-row-at-a-time descent, still row-blocked and tree-major.
-    fn predict_into_blocked(&self, x: &Matrix, out: &mut [f64]) {
-        const BLOCK: usize = 64;
-        let mut lo = 0;
-        while lo < x.rows() {
-            let hi = (lo + BLOCK).min(x.rows());
-            for &root in &self.roots {
-                for (i, slot) in out[lo..hi].iter_mut().enumerate() {
-                    *slot += self.learning_rate * self.tree_leaf(root, x.row(lo + i));
-                }
-            }
-            lo = hi;
+/// Flattens `node` into `shape` (indices relative to the shape's root) with
+/// `levels` walk steps left to spend, numbering leaves in preorder from
+/// `*slots` and appending `learning_rate · weight` per leaf to `leaves`.
+///
+/// A leaf reached with steps to spare gets a chain of pass-through splits
+/// above it — `x[0] <= +∞` always descends left, and the stored right child
+/// aliases the left so even a NaN probe converges — so every root-to-leaf
+/// path takes exactly the forest's depth in steps.  The padded shape reaches
+/// the same leaf as the original tree for every input.
+fn push_node(
+    node: &Node,
+    levels: u32,
+    learning_rate: f64,
+    shape: &mut Vec<FlatNode>,
+    slots: &mut u32,
+    leaves: &mut Vec<f64>,
+) {
+    let idx = index(shape.len());
+    match node {
+        Node::Leaf { .. } if levels > 0 => {
+            shape.push(FlatNode {
+                feature: 0,
+                right: idx + 1,
+                threshold: f64::INFINITY,
+            });
+            push_node(node, levels - 1, learning_rate, shape, slots, leaves);
+        }
+        Node::Leaf { weight } => {
+            shape.push(FlatNode {
+                feature: LEAF,
+                right: *slots,
+                threshold: 0.0,
+            });
+            *slots += 1;
+            leaves.push(learning_rate * weight);
+        }
+        Node::Split {
+            feature,
+            threshold,
+            left,
+            right,
+        } => {
+            shape.push(FlatNode {
+                feature: u32::try_from(*feature).expect("feature index fits u32"),
+                right: 0,
+                threshold: *threshold,
+            });
+            // Preorder: the left subtree directly follows its parent, so only
+            // the right-child index needs storing.
+            push_node(left, levels - 1, learning_rate, shape, slots, leaves);
+            shape[idx as usize].right = index(shape.len());
+            push_node(right, levels - 1, learning_rate, shape, slots, leaves);
         }
     }
 }
@@ -481,7 +403,8 @@ mod tests {
 
     #[test]
     fn batched_predictions_match_row_by_row_bit_for_bit() {
-        // 200 rows crosses the 64-row block boundary several times.
+        // 200 rows crosses the row-block boundary several times and leaves a
+        // partial last block.
         let (m, x) = fitted(200, 3, 1.0);
         let matrix = Matrix::from_rows(&x);
         let mut out = Vec::new();
@@ -496,7 +419,23 @@ mod tests {
     fn compiled_forest_mirrors_the_tree_list() {
         let (m, _) = fitted(30, 1, 1.0);
         assert_eq!(m.forest().tree_count(), m.tree_count());
-        assert!(m.forest().node_count() >= m.tree_count());
+        assert!((1..=m.tree_count()).contains(&m.forest().shape_count()));
+    }
+
+    #[test]
+    fn bare_leaf_forests_score_empty_rows() {
+        let x = vec![vec![1.0]; 4];
+        let mut m = GradientBoosting::new(GbdtParams {
+            n_estimators: 5,
+            max_depth: 0,
+            ..GbdtParams::default()
+        });
+        m.fit(&x, &[1.0, 2.0, 3.0, 4.5]).unwrap();
+        assert!(m.forest().shape_count() <= 1);
+        assert_eq!(
+            m.forest().predict_row(&[]).to_bits(),
+            m.predict_recursive(&[]).to_bits()
+        );
     }
 
     proptest! {
@@ -529,6 +468,53 @@ mod tests {
                 let recursive = m.predict_recursive(row);
                 prop_assert_eq!(flat.to_bits(), recursive.to_bits());
                 prop_assert_eq!(batched[i].to_bits(), recursive.to_bits());
+            }
+        }
+
+        /// The few-shot regime the power model trains in: 6 rows and 120
+        /// boosting rounds reuse a handful of thresholds, so many trees share
+        /// a shape.  Batched, per-row and recursive predictions agree bit for
+        /// bit on the training rows and on probe rows with NaN features.
+        #[test]
+        fn shared_shapes_match_recursive_on_few_shot_fits(
+            max_depth in 1usize..5,
+            raw in proptest::collection::vec(-50.0f64..50.0, 18),
+            probes in proptest::collection::vec(-60.0f64..60.0, 24),
+            nan_mask in proptest::collection::vec(0u8..4, 24),
+        ) {
+            let x: Vec<Vec<f64>> = raw.chunks_exact(3).map(<[f64]>::to_vec).collect();
+            let y: Vec<f64> = x.iter().map(|r| r[0] * 1.5 - r[1] + r[2] * r[0] * 0.05).collect();
+            let mut m = GradientBoosting::new(GbdtParams {
+                n_estimators: 120,
+                max_depth,
+                ..GbdtParams::default()
+            });
+            m.fit(&x, &y).unwrap();
+            let forest = m.forest();
+            prop_assert!(
+                forest.shape_count() < forest.tree_count(),
+                "{} shapes for {} trees: sharing not exercised",
+                forest.shape_count(),
+                forest.tree_count()
+            );
+            // A quarter of the probe features are NaN (mask value 0).
+            let probe_rows = probes
+                .iter()
+                .zip(&nan_mask)
+                .map(|(&v, &mask)| if mask == 0 { f64::NAN } else { v })
+                .collect::<Vec<f64>>();
+            let rows: Vec<Vec<f64>> = x
+                .iter()
+                .cloned()
+                .chain(probe_rows.chunks_exact(3).map(<[f64]>::to_vec))
+                .collect();
+            let mut batched = Vec::new();
+            forest.predict_into(&Matrix::from_rows(&rows), &mut batched);
+            prop_assert_eq!(batched.len(), rows.len());
+            for (row, got) in rows.iter().zip(&batched) {
+                let recursive = m.predict_recursive(row);
+                prop_assert_eq!(forest.predict_row(row).to_bits(), recursive.to_bits());
+                prop_assert_eq!(got.to_bits(), recursive.to_bits());
             }
         }
     }

@@ -93,13 +93,6 @@ impl Matrix {
         &self.data[i * self.cols..(i + 1) * self.cols]
     }
 
-    /// The whole row-major backing buffer (for in-crate hot loops that index
-    /// rows by flat offset instead of materialising per-row slices).
-    #[inline]
-    pub(crate) fn data(&self) -> &[f64] {
-        &self.data
-    }
-
     /// The element at `(row, col)` without the tuple-index sugar (handy in
     /// tight loops where the optimiser benefits from the explicit form).
     #[inline]
