@@ -42,12 +42,17 @@ pub const MODEL_FORMAT_VERSION: u64 = 1;
 /// format.
 pub fn encode_model(model: &dyn PowerModel) -> String {
     let mut w = Writer::new();
+    write_model(model, &mut w);
+    w.finish()
+}
+
+/// The one model encoder behind [`encode_model`] and [`save_model`].
+fn write_model(model: &dyn PowerModel, w: &mut Writer) {
     w.begin("autopower-model");
     w.u64("version", MODEL_FORMAT_VERSION);
     w.str("kind", model.kind().registry_name());
-    model.serialize(&mut w);
+    model.serialize(w);
     w.end();
-    w.finish()
 }
 
 /// Restores a trained model from [`encode_model`] text.
@@ -78,6 +83,10 @@ pub fn decode_model(text: &str) -> Result<Box<dyn PowerModel>, AutoPowerError> {
 
 /// Saves a trained model to `path` (see [`encode_model`] for the format).
 ///
+/// The text is streamed into the file as it is encoded, so the save never
+/// holds the whole (multi-megabyte) text in memory; the bytes are exactly
+/// [`encode_model`]'s.
+///
 /// # Errors
 ///
 /// Returns [`AutoPowerError::ModelIo`] if the file cannot be written.
@@ -88,7 +97,12 @@ pub fn save_model(model: &dyn PowerModel, path: impl AsRef<Path>) -> Result<(), 
     let mut tmp = path.as_os_str().to_owned();
     tmp.push(".tmp");
     let tmp = Path::new(&tmp);
-    std::fs::write(tmp, encode_model(model))
+    std::fs::File::create(tmp)
+        .and_then(|mut file| {
+            let mut w = Writer::streaming(&mut file);
+            write_model(model, &mut w);
+            w.finish_streaming()
+        })
         .map_err(|e| AutoPowerError::ModelIo(format!("writing {}: {e}", tmp.display())))?;
     std::fs::rename(tmp, path)
         .map_err(|e| AutoPowerError::ModelIo(format!("renaming into {}: {e}", path.display())))
@@ -462,6 +476,128 @@ mod tests {
             "format error must name the file: {err}"
         );
         std::fs::remove_file(&garbage).ok();
+    }
+
+    fn two_config_corpus() -> crate::dataset::Corpus {
+        use crate::dataset::{Corpus, CorpusSpec};
+        use autopower_config::{boom_configs, Workload};
+
+        let cfgs = boom_configs();
+        Corpus::generate(
+            &[cfgs[0], cfgs[14]],
+            &[Workload::Dhrystone, Workload::Vvadd],
+            &CorpusSpec::fast(),
+        )
+    }
+
+    #[test]
+    fn saved_model_files_are_exactly_the_encoded_text() {
+        // save_model streams the text while encoding it; the file must be
+        // encode_model's bytes for every registry model (the AutoPower file
+        // is many spill buffers long).
+        let corpus = two_config_corpus();
+        let train = [ConfigId::new(1), ConfigId::new(15)];
+        let dir = std::env::temp_dir().join("autopower-serialize-one-encoder-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        for kind in ModelKind::ALL {
+            let model = kind.train(&corpus, &train).unwrap();
+            let path = dir.join(format!("{kind}.apm"));
+            save_model(model.as_ref(), &path).unwrap();
+            let saved = std::fs::read_to_string(&path).unwrap();
+            assert!(
+                saved == encode_model(model.as_ref()),
+                "{kind}: file differs"
+            );
+            std::fs::remove_file(&path).ok();
+        }
+    }
+
+    #[test]
+    fn saved_checkpoint_files_are_exactly_the_encoded_text() {
+        use crate::stream::{
+            encode_checkpoint, save_checkpoint, ChunkCursor, StreamSpec, SweepAggregator,
+            SweepCheckpoint,
+        };
+        use crate::surrogate::AuditAccumulator;
+        use crate::sweep::ConfigSummary;
+        use autopower_config::DesignSpace;
+        use autopower_perfsim::EventParams;
+        use autopower_powersim::PowerGroups;
+
+        let mut aggregator = SweepAggregator::new(3, &StreamSpec::default());
+        for (i, config) in DesignSpace::boom().sample(400, 5).into_iter().enumerate() {
+            let x = i as f64;
+            let groups = PowerGroups {
+                clock: 3.0 + (x * 0.7).sin(),
+                sram: 2.0 + (x * 0.3).cos(),
+                register: 1.0 + x / 400.0,
+                combinational: 4.0 - x / 900.0,
+            };
+            let mean_ipc = 0.8 + (x * 0.11).sin().abs();
+            aggregator.push_summary(ConfigSummary {
+                config,
+                mean_total: groups.total(),
+                mean_groups: Some(groups),
+                mean_ipc,
+                energy_per_instruction: groups.total() / mean_ipc,
+            });
+        }
+        let events = EventParams::names().len();
+        let mut audit = AuditAccumulator::new(events);
+        let exact: Vec<f64> = (0..events).map(|e| 1.0 + e as f64).collect();
+        let predicted: Vec<f64> = exact.iter().map(|v| v * 1.01).collect();
+        audit.record(&exact, &predicted, 50.0, 51.0);
+
+        let dir = std::env::temp_dir().join("autopower-serialize-one-checkpoint-encoder-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        for (name, audit) in [("exact", None), ("surrogate", Some(audit))] {
+            let checkpoint = SweepCheckpoint {
+                fingerprint: 0xC0FFEE,
+                cursor: ChunkCursor { offset: 400 },
+                aggregator: aggregator.clone(),
+                audit,
+            };
+            let path = dir.join(format!("{name}.ckpt"));
+            save_checkpoint(&checkpoint, &path).unwrap();
+            let saved = std::fs::read_to_string(&path).unwrap();
+            assert!(
+                saved == encode_checkpoint(&checkpoint),
+                "{name}: file differs"
+            );
+            std::fs::remove_file(&path).ok();
+        }
+    }
+
+    #[test]
+    fn a_failed_save_names_the_temp_file_and_keeps_the_previous_model() {
+        let corpus = two_config_corpus();
+        let train = [ConfigId::new(1), ConfigId::new(15)];
+        let model = ModelKind::McpatCalib.train(&corpus, &train).unwrap();
+        let dir = std::env::temp_dir().join("autopower-serialize-failed-save-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("model.apm");
+        save_model(model.as_ref(), &path).unwrap();
+        let before = std::fs::read(&path).unwrap();
+
+        // The temp sibling cannot be created: it is a directory.
+        let tmp = dir.join("model.apm.tmp");
+        std::fs::create_dir_all(&tmp).unwrap();
+        let err = save_model(model.as_ref(), &path).unwrap_err();
+        assert!(matches!(err, AutoPowerError::ModelIo(_)), "{err}");
+        assert!(
+            err.to_string().contains(&tmp.display().to_string()),
+            "the error must name the temp file: {err}"
+        );
+        assert_eq!(std::fs::read(&path).unwrap(), before);
+        let loaded = load_model(&path).unwrap();
+        for run in corpus.runs() {
+            assert_eq!(
+                loaded.predict_total(run).to_bits(),
+                model.predict_total(run).to_bits()
+            );
+        }
+        std::fs::remove_dir(&tmp).ok();
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]
