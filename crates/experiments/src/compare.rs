@@ -11,7 +11,7 @@
 
 use crate::design_sweep::describe_cache;
 use crate::report::format_table;
-use crate::Experiments;
+use crate::{Experiments, StreamScope};
 use autopower::{
     rank_by_efficiency, summarize, sweep_multi_with_stats, AutoPowerError, ConfigSummary,
     ModelKind, PowerGroups, PowerModel,
@@ -260,14 +260,10 @@ impl Experiments {
     ///
     /// # Errors
     ///
-    /// Returns an error if any model fails to train.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `count` is zero.
+    /// Returns [`AutoPowerError::EmptyEvaluation`] if `count` is zero, and an
+    /// error if any model fails to train.
     pub fn model_comparison(&self, count: usize) -> Result<ModelComparison, AutoPowerError> {
-        assert!(count > 0, "a comparison needs at least one configuration");
-        let inputs = self.sweep_inputs(count);
+        let inputs = self.sweep_inputs(StreamScope::Sampled(count))?;
         let corpus = self.sweep_training_corpus();
         let models = ModelKind::ALL
             .into_iter()

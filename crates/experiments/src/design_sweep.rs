@@ -10,12 +10,12 @@
 //! `(configuration, workload)` pair.
 
 use crate::report::format_table;
-use crate::stream_sweep::SurrogateSpec;
+use crate::stream_sweep::{StreamScope, SurrogateSpec, SweepRequest};
 use crate::surrogate_exp::{audit_section, refuse_unaudited};
 use crate::Experiments;
 use autopower::{
     rank_by_efficiency, summarize, AuditReport, AutoPowerError, ConfigSummary, ModelKind,
-    SimBackend, SweepEngine, SweepSpec,
+    PowerModel, SimBackend, SweepEngine, SweepSpec,
 };
 use autopower_config::{ConfigId, CpuConfig, HwParam, Workload};
 use autopower_perfsim::SimCacheStats;
@@ -72,9 +72,11 @@ impl DesignSweepResult {
     }
 }
 
-/// Sorts one power series ascending.
+/// Sorts one power series ascending in IEEE total order, as the streaming
+/// sketch does: a NaN prediction (a model file may decode to one) sorts past
+/// `+inf` instead of aborting the report.
 fn sorted(mut values: Vec<f64>) -> Vec<f64> {
-    values.sort_by(|a, b| a.partial_cmp(b).expect("finite power values"));
+    values.sort_by(f64::total_cmp);
     values
 }
 
@@ -241,10 +243,10 @@ pub(crate) fn describe_cache(stats: Option<SimCacheStats>) -> String {
 }
 
 /// Everything a design-space sweep needs besides a trained model: the
-/// training set, the fixed-seeded generated configurations and the sweep
-/// settings.  Deliberately *without* a corpus — a sweep under a loaded model
-/// must not pay for corpus generation at all; training paths fetch the
-/// corpus separately ([`Experiments::sweep_training_corpus`]).
+/// training set, the generated configurations and the sweep settings.
+/// Deliberately *without* a corpus — a sweep under a loaded model must not pay
+/// for corpus generation at all; training paths fetch the corpus separately
+/// ([`Experiments::sweep_training_corpus`]).
 pub(crate) struct SweepInputs {
     pub train: Vec<ConfigId>,
     pub configs: Vec<CpuConfig>,
@@ -256,13 +258,26 @@ impl Experiments {
     /// The shared inputs of the `sweep` and `compare` experiments — one
     /// definition so `compare` provably scores exactly the space (and uses
     /// exactly the settings) the `sweep` experiment does.
-    pub(crate) fn sweep_inputs(&self, count: usize) -> SweepInputs {
-        SweepInputs {
+    ///
+    /// # Errors
+    ///
+    /// Returns [`AutoPowerError::EmptyEvaluation`] if the scope holds no
+    /// configuration — an empty sweep has nothing to report.
+    pub(crate) fn sweep_inputs(&self, scope: StreamScope) -> Result<SweepInputs, AutoPowerError> {
+        let space = &self.settings().sweep_space;
+        let configs = match scope {
+            StreamScope::Sampled(count) => space.sample(count, SAMPLE_SEED),
+            StreamScope::Full => space.enumerate().collect(),
+        };
+        if configs.is_empty() {
+            return Err(AutoPowerError::EmptyEvaluation);
+        }
+        Ok(SweepInputs {
             train: self.settings().train_two.clone(),
-            configs: self.settings().sweep_space.sample(count, SAMPLE_SEED),
+            configs,
             workloads: self.settings().average_workloads.clone(),
             spec: self.sweep_spec(),
-        }
+        })
     }
 
     /// The engine settings every sweeping experiment (`sweep`, `compare`,
@@ -279,148 +294,67 @@ impl Experiments {
         }
     }
 
-    /// Sweeps `count` generated design points through an AutoPower model
-    /// trained on the two known configurations.
+    /// The engine a sweep verb scores with: exact simulation, or the
+    /// surrogate backend when one is given.
     ///
-    /// Shorthand for [`Experiments::design_space_sweep_model`] with
-    /// [`ModelKind::AutoPower`].
+    /// # Errors
     ///
-    /// # Panics
-    ///
-    /// Panics if `count` is zero or training fails.
-    pub fn design_space_sweep(&self, count: usize) -> DesignSweepResult {
-        self.design_space_sweep_model(count, ModelKind::AutoPower)
-            .expect("AutoPower training succeeds")
+    /// Returns an error if the surrogate is incompatible with the sweep.
+    pub(crate) fn sweep_engine<'m>(
+        &self,
+        model: &'m dyn PowerModel,
+        surrogate: Option<SurrogateSpec<'m>>,
+    ) -> Result<SweepEngine<'m>, AutoPowerError> {
+        let engine = SweepEngine::new(model, self.sweep_spec());
+        match surrogate {
+            Some(s) => engine.with_backend(SimBackend::Surrogate {
+                surrogate: s.surrogate,
+                audit_rate: s.audit_rate,
+            }),
+            None => Ok(engine),
+        }
     }
 
-    /// Sweeps `count` generated design points through any registry model
-    /// trained on the two known configurations (the `--model` CLI path).
+    /// Scores the request's scope and keeps every point (the `sweep` CLI
+    /// verb): per-group power quantiles plus the most energy-efficient
+    /// configurations.  With a surrogate, every configuration's event rates
+    /// come from it and the deterministic audit fraction is additionally
+    /// simulated exactly to bound its error (those points are emitted
+    /// bit-identically to an exact sweep).
     ///
     /// Deterministic end to end: the design-space draw is fixed-seeded, corpus
     /// generation and batch inference are bit-identical for every thread
-    /// count, so the printed summary never depends on `--threads`.
+    /// count, so the printed summary never depends on `--threads`.  A loaded
+    /// model sweeps bit-identically to the same model retrained (pinned by
+    /// the serialization parity tests).
     ///
     /// # Errors
     ///
-    /// Returns an error if the model fails to train.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `count` is zero — an empty sweep has nothing to report.
-    pub fn design_space_sweep_model(
+    /// Returns [`AutoPowerError::EmptyEvaluation`] if the scope holds no
+    /// configuration, and an error if training fails, the surrogate is
+    /// incompatible with the sweep settings, or a surrogate run audited zero
+    /// configurations.
+    pub fn design_space_sweep(
         &self,
-        count: usize,
-        kind: ModelKind,
+        request: &SweepRequest<'_>,
     ) -> Result<DesignSweepResult, AutoPowerError> {
-        assert!(count > 0, "a sweep needs at least one configuration");
-        let inputs = self.sweep_inputs(count);
-        let corpus = self.sweep_training_corpus();
-        let model = kind.train(&corpus, &inputs.train)?;
-        let train = Some(inputs.train.clone());
-        self.sweep_with(inputs, model.as_ref(), train, None)
-    }
-
-    /// [`Experiments::design_space_sweep_model`] scored by a learned activity
-    /// surrogate instead of per-point exact simulation (the materializing
-    /// `sweep --surrogate` CLI path): every configuration's event rates come
-    /// from `spec.surrogate`, and the deterministic `spec.audit_rate` fraction
-    /// is additionally simulated exactly to bound the surrogate's error (those
-    /// audited points are emitted bit-identically to an exact sweep).
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if training fails, the surrogate is incompatible with
-    /// the sweep settings, or the run audited zero configurations.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `count` is zero.
-    pub fn design_space_sweep_surrogate(
-        &self,
-        count: usize,
-        kind: ModelKind,
-        spec: SurrogateSpec<'_>,
-    ) -> Result<DesignSweepResult, AutoPowerError> {
-        assert!(count > 0, "a sweep needs at least one configuration");
-        let inputs = self.sweep_inputs(count);
-        let corpus = self.sweep_training_corpus();
-        let model = kind.train(&corpus, &inputs.train)?;
-        let train = Some(inputs.train.clone());
-        self.sweep_with(inputs, model.as_ref(), train, Some(spec))
-    }
-
-    /// [`Experiments::design_space_sweep_loaded`] under a surrogate backend
-    /// (the `sweep --surrogate --load-model FILE` CLI path).
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the surrogate is incompatible with the sweep
-    /// settings or the run audited zero configurations.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `count` is zero.
-    pub fn design_space_sweep_loaded_surrogate(
-        &self,
-        count: usize,
-        model: &dyn autopower::PowerModel,
-        spec: SurrogateSpec<'_>,
-    ) -> Result<DesignSweepResult, AutoPowerError> {
-        assert!(count > 0, "a sweep needs at least one configuration");
-        let inputs = self.sweep_inputs(count);
-        self.sweep_with(inputs, model, None, Some(spec))
-    }
-
-    /// Sweeps `count` generated design points through an **already trained**
-    /// model — the `--load-model` CLI path, where the model was restored with
-    /// [`autopower::load_model`] instead of retrained.  Bit-identical to
-    /// [`Experiments::design_space_sweep_model`] for a model trained on the
-    /// same corpus (pinned by the serialization parity tests).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `count` is zero.
-    pub fn design_space_sweep_loaded(
-        &self,
-        count: usize,
-        model: &dyn autopower::PowerModel,
-    ) -> DesignSweepResult {
-        assert!(count > 0, "a sweep needs at least one configuration");
-        // The training corpus is not touched: a loaded model sweeps without
-        // regenerating any golden data, and the report states it was loaded
-        // (the file records no training set).
-        let inputs = self.sweep_inputs(count);
-        self.sweep_with(inputs, model, None, None)
-            .expect("exact sweeps cannot fail")
-    }
-
-    fn sweep_with(
-        &self,
-        inputs: SweepInputs,
-        model: &dyn autopower::PowerModel,
-        train_configs: Option<Vec<ConfigId>>,
-        surrogate: Option<SurrogateSpec<'_>>,
-    ) -> Result<DesignSweepResult, AutoPowerError> {
-        let mut engine = SweepEngine::new(model, inputs.spec);
-        if let Some(s) = &surrogate {
-            engine = engine.with_backend(SimBackend::Surrogate {
-                surrogate: s.surrogate,
-                audit_rate: s.audit_rate,
-            })?;
-        }
-        let points = engine.run(&inputs.configs, &inputs.workloads);
-        let audit = engine.audit_report();
-        if let (Some(report), Some(s)) = (&audit, &surrogate) {
-            refuse_unaudited(report, inputs.configs.len() as u64, s.audit_rate)?;
-        }
-        Ok(DesignSweepResult {
-            model: model.kind(),
-            train_configs,
-            summaries: summarize(&points, inputs.workloads.len()),
-            workloads: inputs.workloads,
-            cache_stats: inputs.spec.use_sim_cache.then(|| engine.cache_stats()),
-            audit,
-            audit_rate: surrogate.map(|s| s.audit_rate),
+        let inputs = self.sweep_inputs(request.scope)?;
+        self.with_model(request.model, |model, train_configs| {
+            let engine = self.sweep_engine(model, request.surrogate)?;
+            let points = engine.run(&inputs.configs, &inputs.workloads);
+            let audit = engine.audit_report();
+            if let (Some(report), Some(s)) = (&audit, &request.surrogate) {
+                refuse_unaudited(report, inputs.configs.len() as u64, s.audit_rate)?;
+            }
+            Ok(DesignSweepResult {
+                model: model.kind(),
+                train_configs,
+                summaries: summarize(&points, inputs.workloads.len()),
+                workloads: inputs.workloads,
+                cache_stats: inputs.spec.use_sim_cache.then(|| engine.cache_stats()),
+                audit,
+                audit_rate: request.surrogate.map(|s| s.audit_rate),
+            })
         })
     }
 }
@@ -428,7 +362,17 @@ impl Experiments {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stream_sweep::{ModelSource, StreamOptions};
     use crate::surrogate_exp::SurrogateOptions;
+    use autopower::{ParetoConstraints, QuantileSketch};
+
+    /// The default request over `count` sampled configurations.
+    fn sampled(count: usize) -> SweepRequest<'static> {
+        SweepRequest {
+            scope: StreamScope::Sampled(count),
+            ..SweepRequest::default()
+        }
+    }
 
     #[test]
     fn surrogate_materialized_sweep_audits_and_matches_exact_under_full_audit() {
@@ -439,16 +383,15 @@ mod tests {
                 ..SurrogateOptions::default()
             })
             .unwrap();
-        let exact = exp.design_space_sweep(12);
+        let exact = exp.design_space_sweep(&sampled(12)).unwrap();
         let audited = exp
-            .design_space_sweep_surrogate(
-                12,
-                ModelKind::AutoPower,
-                SurrogateSpec {
+            .design_space_sweep(&SweepRequest {
+                surrogate: Some(SurrogateSpec {
                     surrogate: &surrogate,
                     audit_rate: 1.0,
-                },
-            )
+                }),
+                ..sampled(12)
+            })
             .unwrap();
         // Every point was simulated exactly, so the summaries are bit-equal.
         assert_eq!(audited.summaries, exact.summaries);
@@ -468,14 +411,13 @@ mod tests {
         // A materialized surrogate sweep that audits nothing is refused
         // outright — it is never "interrupted", so there is no exemption.
         let err = exp
-            .design_space_sweep_surrogate(
-                12,
-                ModelKind::AutoPower,
-                SurrogateSpec {
+            .design_space_sweep(&SweepRequest {
+                surrogate: Some(SurrogateSpec {
                     surrogate: &surrogate,
                     audit_rate: 1e-9,
-                },
-            )
+                }),
+                ..sampled(12)
+            })
             .unwrap_err();
         assert!(err.to_string().contains("audited zero"), "got: {err}");
     }
@@ -483,7 +425,7 @@ mod tests {
     #[test]
     fn sweep_scores_the_requested_number_of_generated_configs() {
         let exp = Experiments::fast();
-        let result = exp.design_space_sweep(24);
+        let result = exp.design_space_sweep(&sampled(24)).unwrap();
         assert_eq!(result.summaries.len(), 24);
         for s in &result.summaries {
             assert!(!s.config.id.is_seed(), "{} is a seed", s.config.id);
@@ -510,7 +452,10 @@ mod tests {
     fn sweep_runs_under_a_baseline_model() {
         let exp = Experiments::fast();
         let result = exp
-            .design_space_sweep_model(12, ModelKind::McpatCalib)
+            .design_space_sweep(&SweepRequest {
+                model: ModelSource::Train(ModelKind::McpatCalib),
+                ..sampled(12)
+            })
             .unwrap();
         assert_eq!(result.model, ModelKind::McpatCalib);
         assert_eq!(result.summaries.len(), 12);
@@ -529,8 +474,8 @@ mod tests {
     #[test]
     fn sweep_is_reproducible() {
         let exp = Experiments::fast();
-        let a = exp.design_space_sweep(8);
-        let b = exp.design_space_sweep(8);
+        let a = exp.design_space_sweep(&sampled(8)).unwrap();
+        let b = exp.design_space_sweep(&sampled(8)).unwrap();
         assert_eq!(a.summaries, b.summaries);
     }
 
@@ -541,16 +486,72 @@ mod tests {
         // corpus, training reuses it.  Both paths must produce the same model
         // and hence the same sweep.
         let standalone = Experiments::fast();
-        let a = standalone.design_space_sweep(6);
+        let a = standalone.design_space_sweep(&sampled(6)).unwrap();
         let warmed = Experiments::fast();
         let _ = warmed.average_corpus();
-        let b = warmed.design_space_sweep(6);
+        let b = warmed.design_space_sweep(&sampled(6)).unwrap();
         assert_eq!(a.summaries, b.summaries);
     }
 
     #[test]
-    #[should_panic(expected = "at least one configuration")]
     fn empty_sweep_is_rejected() {
-        let _ = Experiments::fast().design_space_sweep(0);
+        // A zero-count sample and a design space with no valid configuration
+        // (decode wider than fetch) are both refused by every verb with a
+        // typed error, before any training.
+        let empty_space = Experiments::new(
+            crate::ExperimentSettings::fast().with_sweep_space(
+                autopower_config::DesignSpace::boom()
+                    .with_axis(HwParam::FetchWidth, vec![2])
+                    .with_axis(HwParam::DecodeWidth, vec![4]),
+            ),
+        );
+        let exp = Experiments::fast();
+        for (exp, scope) in [
+            (&exp, StreamScope::Sampled(0)),
+            (&empty_space, StreamScope::Full),
+        ] {
+            let request = SweepRequest {
+                scope,
+                ..SweepRequest::default()
+            };
+            let empty = |result: Result<(), AutoPowerError>| {
+                assert!(
+                    matches!(result, Err(AutoPowerError::EmptyEvaluation)),
+                    "{scope:?}: {result:?}"
+                );
+            };
+            empty(exp.design_space_sweep(&request).map(drop));
+            empty(
+                exp.streaming_sweep(&request, &StreamOptions::default())
+                    .map(drop),
+            );
+            empty(
+                exp.pareto_frontier(&request, ParetoConstraints::default())
+                    .map(drop),
+            );
+        }
+        assert!(matches!(
+            exp.model_comparison(0),
+            Err(AutoPowerError::EmptyEvaluation)
+        ));
+    }
+
+    #[test]
+    fn nan_predictions_sort_like_the_streaming_sketch() {
+        // A model file can decode to NaN weights; the report must still
+        // print, ranking NaN the way the streaming sketch does.
+        let series = vec![3.0, f64::NAN, 1.0, -f64::NAN, 2.0, f64::INFINITY, 0.5];
+        let row = quantile_row("total", series.clone());
+        let mut sketch = QuantileSketch::new(1024);
+        for &v in &series {
+            sketch.insert(v);
+        }
+        let expected: Vec<String> = [0.0, 0.25, 0.5, 0.75, 1.0]
+            .iter()
+            .map(|&q| format!("{:.2}", sketch.quantile(q).unwrap()))
+            .collect();
+        assert_eq!(row[1..], expected[..]);
+        assert_eq!(row[1], "NaN");
+        assert_eq!(row[5], "NaN");
     }
 }

@@ -3,7 +3,7 @@
 //! Each experiment is a method on [`Experiments`], which owns the (lazily generated and
 //! cached) corpora so that several experiments can share the expensive simulation work.
 //! The binary `autopower-experiments` exposes every experiment as a subcommand; the
-//! Criterion benches in `autopower-bench` wrap the same methods.
+//! benches in `autopower-bench` wrap the same methods.
 //!
 //! | Paper artefact | Method | Subcommand |
 //! |---|---|---|
@@ -14,7 +14,7 @@
 //! | Fig. 6 (sweep over #training configurations) | [`Experiments::fig6_training_sweep`] | `fig6` |
 //! | Fig. 7 (clock detail, all component-resolving models) | [`Experiments::fig7_clock_detail`] | `fig7` |
 //! | Fig. 8 (SRAM detail, all component-resolving models) | [`Experiments::fig8_sram_detail`] | `fig8` |
-//! | Table IV (time-based power traces) | [`Experiments::table4_power_trace`] | `table4` |
+//! | Table IV (time-based power traces) | [`Experiments::table4_power_trace_with`] | `table4` |
 //! | Ablations (program features, simulator inaccuracy) | [`Experiments::ablation_study`] | `ablation` |
 //! | Design-space sweep (generated configurations) | [`Experiments::design_space_sweep`] | `sweep` |
 //! | Streaming sweep (bounded memory, checkpoint/resume) | [`Experiments::streaming_sweep`] | `sweep --stream` / `--full` |
@@ -22,16 +22,21 @@
 //! | Leave-one-out cross-validation | [`Experiments::cross_validation_model`] | `xval` |
 //! | Model-disagreement sweep (all registry models) | [`Experiments::model_comparison`] | `compare` |
 //!
-//! The `sweep`, `table4` and `xval` subcommands accept `--model NAME` and run
-//! under any [`ModelKind`](autopower::ModelKind) registry model; `compare`
-//! sweeps the same generated design space under *every* registry model and
-//! reports where they disagree.
+//! The three sweep verbs take one [`SweepRequest`]: the model
+//! ([`ModelSource`]: trained here or loaded), the scope ([`StreamScope`]:
+//! sampled or the full space) and an optional surrogate backend
+//! ([`SurrogateSpec`]).  Table IV takes the same [`ModelSource`].
+//!
+//! The `sweep`, `pareto`, `table4` and `xval` subcommands accept `--model
+//! NAME` and run under any [`ModelKind`](autopower::ModelKind) registry model;
+//! `compare` sweeps the same generated design space under *every* registry
+//! model and reports where they disagree.
 //!
 //! Trained models persist across processes: `save-model --model NAME --out
 //! FILE` trains on the sweep corpus and writes the registry-tagged model
-//! file; `sweep --load-model FILE` (and `table4 --load-model FILE`) restores
-//! it with [`autopower::load_model`] and predicts without retraining —
-//! bit-identical to the retrained run.
+//! file; `--load-model FILE` on `sweep`, `pareto` and `table4` restores it
+//! with [`autopower::load_model`] ([`ModelSource::Loaded`]) and predicts
+//! without retraining — bit-identical to the retrained run.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -60,7 +65,8 @@ pub use obs1::BreakdownResult;
 pub use report::{format_table, percent};
 pub use settings::ExperimentSettings;
 pub use stream_sweep::{
-    ParetoResult, StreamExtras, StreamOptions, StreamScope, StreamSweepResult, SurrogateSpec,
+    ModelSource, ParetoResult, StreamOptions, StreamScope, StreamSweepResult, SurrogateSpec,
+    SweepRequest, DEFAULT_SWEEP_COUNT,
 };
 pub use surrogate_exp::{SurrogateOptions, DEFAULT_AUDIT_RATE, DEFAULT_SURROGATE_TRAIN};
 pub use sweep::{SweepPoint, SweepResult};
@@ -155,7 +161,7 @@ impl Experiments {
     /// does (same corpus, same two-configuration training set) — the
     /// `save-model` CLI path.  A model saved from here and restored with
     /// [`autopower::load_model`] sweeps bit-identically to a
-    /// [`Experiments::design_space_sweep_model`] run that retrains.
+    /// [`ModelSource::Train`] run that retrains.
     ///
     /// # Errors
     ///
@@ -166,6 +172,28 @@ impl Experiments {
     ) -> Result<Box<dyn autopower::PowerModel>, autopower::AutoPowerError> {
         let corpus = self.sweep_training_corpus();
         kind.train(&corpus, &self.settings().train_two)
+    }
+
+    /// Runs `score` with the model a request names and its provenance: a
+    /// [`ModelSource::Train`] model is trained here
+    /// ([`Experiments::train_sweep_model`]) and reported as trained on
+    /// [`ExperimentSettings::train_two`]; a [`ModelSource::Loaded`] model is
+    /// borrowed as is, with no training set (its file records none).
+    pub(crate) fn with_model<R>(
+        &self,
+        source: ModelSource<'_>,
+        score: impl FnOnce(
+            &dyn autopower::PowerModel,
+            Option<Vec<autopower_config::ConfigId>>,
+        ) -> Result<R, autopower::AutoPowerError>,
+    ) -> Result<R, autopower::AutoPowerError> {
+        match source {
+            ModelSource::Train(kind) => {
+                let model = self.train_sweep_model(kind)?;
+                score(model.as_ref(), Some(self.settings.train_two.clone()))
+            }
+            ModelSource::Loaded(model) => score(model, None),
+        }
     }
 
     /// Corpus backing the design-space sweep's training.

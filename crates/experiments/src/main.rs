@@ -1,35 +1,31 @@
 //! Command-line entry point of the experiment harness.
 //!
 //! ```text
-//! autopower-experiments [--fast] [--threads N] [--count N] [--model NAME]
-//!                       [--load-model FILE] [--out FILE] [--no-sim-cache]
-//!                       [--stream] [--full] [--chunk N] [--checkpoint FILE]
-//!                       [--resume] [--max-chunks N] [EXPERIMENT ...]
+//! autopower-experiments [FLAG ...] [EXPERIMENT ...]
 //! ```
 //!
 //! `EXPERIMENT` is one of `obs1`, `table1`, `fig4`, `fig5`, `fig6`, `fig7`, `fig8`,
 //! `table4`, `ablation`, `sweep`, `pareto`, `xval`, `compare`, `save-model`, or
 //! `all` (the default; `all` does not include `save-model`, which writes a file).
-//! `--fast` switches to the reduced settings used by tests and benches;
-//! `--threads N` sets the worker count of the corpus-generation and sweep
-//! pipelines (default: one per available core, `1` = serial); `--count N` sets
-//! how many generated configurations the `sweep` and `compare` experiments
-//! score; `--model NAME` selects the registry model the `sweep`, `table4`,
-//! `xval` and `save-model` verbs run under (`autopower`, `mcpat-calib`,
-//! `mcpat-calib-component`, `autopower-minus`).
+//! Flags and experiment names may appear in any order, and a value flag takes
+//! its value either as the next argument or inline (`--threads 4` or
+//! `--threads=4`).  `--help` prints the full flag list.
+//!
+//! Every flag is one row of [`FLAGS`]: its name, the kind of value it takes
+//! and the experiments it applies to.  One loop parses every row the same
+//! way, so the usage line, the value checks and the refusals cannot drift
+//! apart.  The main knobs: `--fast` switches to the reduced settings used by
+//! tests and benches; `--threads N` sets the worker count of the
+//! corpus-generation and sweep pipelines (default: one per available core,
+//! `1` = serial); `--count N` sets how many generated configurations the
+//! `sweep`, `pareto` and `compare` experiments score; `--model NAME` selects
+//! the registry model the `sweep`, `pareto`, `table4`, `xval` and
+//! `save-model` verbs run under.
 //!
 //! Model persistence: `save-model` trains `--model` on the sweep corpus and
 //! writes it to `--out FILE` (default `<model>.apm`); `--load-model FILE`
-//! makes `sweep` and `table4` restore that trained model instead of
-//! retraining — the results are bit-identical to the retrained run.  Flags
-//! and experiment names may appear in any order; unknown or duplicate
-//! experiment names, unknown model names, `--load-model` on experiments
-//! that retrain by design and `--no-sim-cache` on experiments that never
-//! cache simulations are rejected before any corpus is generated.
-//!
-//! `--no-sim-cache` disables the sweep engine's exact simulation memoization
-//! (`sweep`, `compare` and `pareto` only) — an audit knob; the scored points
-//! are bit-identical either way.
+//! makes `sweep`, `pareto` and `table4` restore that trained model instead of
+//! retraining — the results are bit-identical to the retrained run.
 //!
 //! Streaming sweeps: `sweep --stream` folds the sampled configurations through
 //! the bounded-memory aggregator (same report, O(top-k + sketches + one chunk)
@@ -42,11 +38,16 @@
 //! prints the power-vs-IPC-vs-area-proxy non-dominated frontier.  Process-local
 //! diagnostics (cache hit rates, peak retained points) go to stderr so
 //! one-shot and resumed stdout compare equal.
+//!
+//! Unknown or duplicate experiment names, unknown model names, bad values and
+//! flags given to experiments they do not apply to are rejected before any
+//! corpus is generated.
 
 use autopower::{CorpusSpec, ModelKind, ParetoConstraints};
 use autopower_experiments::{
-    ExperimentSettings, Experiments, StreamExtras, StreamOptions, StreamScope, StreamSweepResult,
-    SurrogateOptions, SurrogateSpec, DEFAULT_AUDIT_RATE, DEFAULT_SURROGATE_TRAIN,
+    ExperimentSettings, Experiments, ModelSource, StreamOptions, StreamScope, StreamSweepResult,
+    SurrogateOptions, SurrogateSpec, SweepRequest, DEFAULT_AUDIT_RATE, DEFAULT_SURROGATE_TRAIN,
+    DEFAULT_SWEEP_COUNT,
 };
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -56,54 +57,248 @@ const ALL_EXPERIMENTS: [&str; 13] = [
     "pareto", "xval", "compare",
 ];
 
-/// Experiments `--load-model` applies to: the ones that consume exactly one
-/// trained model (everything else retrains by design — `xval` per fold,
-/// `compare` for every registry entry).
-const LOADABLE_EXPERIMENTS: [&str; 3] = ["sweep", "table4", "pareto"];
-
-/// Experiments `--no-sim-cache` applies to: the ones that run the batch sweep
-/// engine and therefore memoize simulations across configurations.  The flag
-/// is an audit knob — the scored points are bit-identical either way.
-const SIM_CACHE_EXPERIMENTS: [&str; 3] = ["sweep", "compare", "pareto"];
-
-/// Experiments that can walk the full design space (`--full`) or stream
-/// (`--stream`); `--chunk` is accepted for these plus `compare` (any user of
-/// the sweep engine).
-const STREAM_EXPERIMENTS: [&str; 2] = ["sweep", "pareto"];
-
-/// Experiments `--checkpoint`/`--resume`/`--max-chunks` apply to: only the
-/// streaming sweep persists its aggregate (`pareto` re-streams cheaply and
-/// keeps no checkpoint file).
-const CHECKPOINT_EXPERIMENTS: [&str; 1] = ["sweep"];
-
-/// Experiments `--surrogate` (and its `--surrogate-train`, `--audit-rate`,
-/// `--save-surrogate`, `--load-surrogate` companions) applies to: the
-/// design-space scoring verbs.  Everything else reproduces paper numbers and
-/// must simulate exactly.
-const SURROGATE_EXPERIMENTS: [&str; 2] = ["sweep", "pareto"];
-
-/// Experiments `--max-power`/`--min-ipc` apply to: only the frontier fold
-/// filters by feasibility.
-const CONSTRAINT_EXPERIMENTS: [&str; 1] = ["pareto"];
-
 /// The verb that trains and saves a model instead of running an experiment
 /// (deliberately not part of `all`: it writes a file).
 const SAVE_MODEL: &str = "save-model";
 
-/// The usage string, with the experiment and model lists derived from
-/// [`ALL_EXPERIMENTS`] and [`ModelKind::ALL`] so help text cannot drift from
-/// the registries.
+/// The experiments a flag applies to, and how it refuses every other one:
+/// `"{flags} apply to {verbs} only; '{experiment}' {reason}"`.
+struct Verbs {
+    /// The flags the refusal names; `None` names just the flag given.
+    group: Option<&'static str>,
+    names: &'static [&'static str],
+    /// Why any other experiment has no use for the flag.
+    reason: &'static str,
+}
+
+/// `--load-model`: the experiments that consume exactly one trained model
+/// (everything else retrains by design — `xval` per fold, `compare` for every
+/// registry entry).
+const LOADABLE: Verbs = Verbs {
+    group: None,
+    names: &["sweep", "table4", "pareto"],
+    reason: "retrains by design",
+};
+
+/// `--no-sim-cache`: the experiments that run the batch sweep engine and
+/// therefore memoize simulations across configurations.  The flag is an audit
+/// knob — the scored points are bit-identical either way.
+const SIM_CACHE: Verbs = Verbs {
+    group: None,
+    names: &["sweep", "compare", "pareto"],
+    reason: "never caches simulations",
+};
+
+/// `--chunk`: any user of the sweep engine.
+const ENGINE: Verbs = Verbs {
+    reason: "does not run the sweep engine",
+    ..SIM_CACHE
+};
+
+/// `--stream` / `--full`: the experiments that can stream the design space.
+const STREAM: Verbs = Verbs {
+    group: None,
+    names: &["sweep", "pareto"],
+    reason: "does not stream",
+};
+
+/// `--checkpoint` / `--resume` / `--max-chunks`: only the streaming sweep
+/// persists its aggregate (`pareto` re-streams cheaply and keeps no
+/// checkpoint file).
+const CHECKPOINT: Verbs = Verbs {
+    group: Some("--checkpoint/--resume/--max-chunks"),
+    names: &["sweep"],
+    reason: "keeps no checkpoint",
+};
+
+/// `--surrogate` and its companions: the design-space scoring verbs.
+/// Everything else reproduces paper numbers and must simulate exactly.
+const SURROGATE: Verbs = Verbs {
+    group: None,
+    names: &["sweep", "pareto"],
+    reason: "always simulates exactly",
+};
+
+/// `--max-power` / `--min-ipc`: only the frontier fold filters by feasibility.
+const CONSTRAINT: Verbs = Verbs {
+    group: Some("--max-power/--min-ipc"),
+    names: &["pareto"],
+    reason: "computes no frontier",
+};
+
+/// The value a flag takes, and where the parsed value goes.
+enum Kind {
+    /// No value; `--flag=VALUE` is an unknown flag.
+    Switch(fn(&mut CliArgs)),
+    /// A non-negative integer.
+    Count(fn(&mut CliArgs, usize)),
+    /// A positive integer.
+    Positive(fn(&mut CliArgs, usize)),
+    /// A finite fraction in `(0, 1]`.
+    Fraction(fn(&mut CliArgs, f64)),
+    /// Any number (domain checks follow once every flag is known); the
+    /// string is its placeholder in the usage line.
+    Number(&'static str, fn(&mut CliArgs, f64)),
+    /// A [`ModelKind`] registry name.
+    Model(fn(&mut CliArgs, ModelKind)),
+    /// A file path.
+    File(fn(&mut CliArgs, String)),
+}
+
+impl Kind {
+    /// The value's placeholder in the usage line (`None` for a switch).
+    fn placeholder(&self) -> Option<&'static str> {
+        match self {
+            Kind::Switch(_) => None,
+            Kind::Count(_) | Kind::Positive(_) => Some("N"),
+            Kind::Fraction(_) => Some("R"),
+            Kind::Number(placeholder, _) => Some(placeholder),
+            Kind::Model(_) => Some("NAME"),
+            Kind::File(_) => Some("FILE"),
+        }
+    }
+
+    /// Parses `value` for `flag` and stores it.
+    fn apply(&self, args: &mut CliArgs, flag: &str, value: String) -> Result<(), String> {
+        let bad = |expects: &str| format!("{flag} expects {expects}, got '{value}'\n{}", usage());
+        match *self {
+            Kind::Switch(set) => set(args),
+            Kind::Count(set) => set(
+                args,
+                value.parse().map_err(|_| bad("a non-negative integer"))?,
+            ),
+            Kind::Positive(set) => match value.parse() {
+                Ok(n) if n > 0 => set(args, n),
+                _ => return Err(bad("a positive integer")),
+            },
+            // Zero is rejected: a surrogate sweep that can never audit would
+            // only fail later with "audited zero configurations".
+            Kind::Fraction(set) => match value.parse::<f64>() {
+                Ok(r) if r.is_finite() && r > 0.0 && r <= 1.0 => set(args, r),
+                _ => return Err(bad("a fraction in (0, 1]")),
+            },
+            Kind::Number(_, set) => set(args, value.parse().map_err(|_| bad("a number"))?),
+            Kind::Model(set) => set(
+                args,
+                value.parse().map_err(|e| format!("{e}\n{}", usage()))?,
+            ),
+            Kind::File(set) => set(args, value),
+        }
+        Ok(())
+    }
+}
+
+/// One command-line flag.
+struct Flag {
+    name: &'static str,
+    kind: Kind,
+    /// The experiments the flag applies to; `None` for every experiment.
+    verbs: Option<&'static Verbs>,
+}
+
+const fn flag(name: &'static str, kind: Kind, verbs: Option<&'static Verbs>) -> Flag {
+    Flag { name, kind, verbs }
+}
+
+/// Every flag the harness takes, in usage-line order.  Refusals of flags
+/// given to experiments they do not apply to are checked in this order too.
+/// `--out` applies wherever `save-model` is requested: `parse_args` checks it.
+const FLAGS: &[Flag] = &[
+    flag("--fast", Kind::Switch(|a| a.fast = true), None),
+    flag("--threads", Kind::Count(|a, n| a.threads = n), None),
+    flag(
+        "--count",
+        Kind::Positive(|a, n| (a.count, a.count_explicit) = (n, true)),
+        None,
+    ),
+    flag(
+        "--model",
+        Kind::Model(|a, kind| (a.model, a.model_explicit) = (kind, true)),
+        None,
+    ),
+    flag(
+        "--load-model",
+        Kind::File(|a, path| a.load_model = Some(path)),
+        Some(&LOADABLE),
+    ),
+    flag("--out", Kind::File(|a, path| a.out = Some(path)), None),
+    flag(
+        "--no-sim-cache",
+        Kind::Switch(|a| a.sim_cache = false),
+        Some(&SIM_CACHE),
+    ),
+    flag("--stream", Kind::Switch(|a| a.stream = true), Some(&STREAM)),
+    flag("--full", Kind::Switch(|a| a.full = true), Some(&STREAM)),
+    flag("--chunk", Kind::Positive(|a, n| a.chunk = n), Some(&ENGINE)),
+    flag(
+        "--checkpoint",
+        Kind::File(|a, path| a.checkpoint = Some(path)),
+        Some(&CHECKPOINT),
+    ),
+    flag(
+        "--resume",
+        Kind::Switch(|a| a.resume = true),
+        Some(&CHECKPOINT),
+    ),
+    flag(
+        "--max-chunks",
+        Kind::Positive(|a, n| a.max_chunks = n as u64),
+        Some(&CHECKPOINT),
+    ),
+    flag(
+        "--surrogate",
+        Kind::Switch(|a| a.surrogate = true),
+        Some(&SURROGATE),
+    ),
+    flag(
+        "--surrogate-train",
+        Kind::Positive(|a, n| a.surrogate_train = Some(n)),
+        Some(&SURROGATE),
+    ),
+    flag(
+        "--audit-rate",
+        Kind::Fraction(|a, r| a.audit_rate = Some(r)),
+        Some(&SURROGATE),
+    ),
+    flag(
+        "--save-surrogate",
+        Kind::File(|a, path| a.save_surrogate = Some(path)),
+        Some(&SURROGATE),
+    ),
+    flag(
+        "--load-surrogate",
+        Kind::File(|a, path| a.load_surrogate = Some(path)),
+        Some(&SURROGATE),
+    ),
+    flag(
+        "--max-power",
+        Kind::Number("MW", |a, p| a.max_power = Some(p)),
+        Some(&CONSTRAINT),
+    ),
+    flag(
+        "--min-ipc",
+        Kind::Number("IPC", |a, i| a.min_ipc = Some(i)),
+        Some(&CONSTRAINT),
+    ),
+];
+
+/// The usage string, with the flag, experiment and model lists derived from
+/// [`FLAGS`], [`ALL_EXPERIMENTS`] and [`ModelKind::ALL`] so help text cannot
+/// drift from the registries.
 fn usage() -> String {
+    let flags: Vec<String> = FLAGS
+        .iter()
+        .map(|flag| match flag.kind.placeholder() {
+            Some(value) => format!("[{} {value}]", flag.name),
+            None => format!("[{}]", flag.name),
+        })
+        .collect();
     let models: Vec<&str> = ModelKind::ALL
         .iter()
         .map(|kind| kind.registry_name())
         .collect();
     format!(
-        "usage: autopower-experiments [--fast] [--threads N] [--count N] [--model NAME] \
-         [--load-model FILE] [--out FILE] [--no-sim-cache] [--stream] [--full] [--chunk N] \
-         [--checkpoint FILE] [--resume] [--max-chunks N] [--surrogate] [--surrogate-train N] \
-         [--audit-rate R] [--save-surrogate FILE] [--load-surrogate FILE] [--max-power MW] \
-         [--min-ipc IPC] [{}|{SAVE_MODEL}|all ...]\n\
+        "usage: autopower-experiments {} [{}|{SAVE_MODEL}|all ...]\n\
          models: {} (default: {})\n\
          {SAVE_MODEL} trains --model and writes it to --out (default <model>.apm); \
          --load-model applies to {} only; --no-sim-cache disables sweep simulation \
@@ -120,21 +315,18 @@ fn usage() -> String {
          pareto feasibility ({} only): --max-power keeps configurations predicted at or \
          under the bound (mW), --min-ipc keeps those at or above the IPC bound; both are \
          applied before the frontier fold",
+        flags.join(" "),
         ALL_EXPERIMENTS.join("|"),
         models.join(", "),
         ModelKind::AutoPower,
-        LOADABLE_EXPERIMENTS.join("/"),
-        SIM_CACHE_EXPERIMENTS.join("/"),
-        STREAM_EXPERIMENTS.join("/"),
-        CHECKPOINT_EXPERIMENTS.join("/"),
-        SURROGATE_EXPERIMENTS.join("/"),
-        CONSTRAINT_EXPERIMENTS.join("/"),
+        LOADABLE.names.join("/"),
+        SIM_CACHE.names.join("/"),
+        STREAM.names.join("/"),
+        CHECKPOINT.names.join("/"),
+        SURROGATE.names.join("/"),
+        CONSTRAINT.names.join("/"),
     )
 }
-
-/// Default number of generated configurations the `sweep` and `compare`
-/// experiments score.
-const DEFAULT_SWEEP_COUNT: usize = 256;
 
 /// Everything the command line selects: settings knobs and the experiment list.
 #[derive(Debug)]
@@ -147,12 +339,12 @@ struct CliArgs {
     /// kind is then a hard error instead of silently winning).
     model_explicit: bool,
     /// Path to a saved model to restore instead of retraining (`sweep`,
-    /// `table4`).
+    /// `pareto`, `table4`).
     load_model: Option<String>,
     /// Output path of the `save-model` verb.
     out: Option<String>,
     /// Whether the sweep experiments memoize simulations across
-    /// configurations (`--no-sim-cache` clears it; `sweep`/`compare` only).
+    /// configurations (`--no-sim-cache` clears it).
     sim_cache: bool,
     /// Whether `--count` was given explicitly (conflicts with `--full`, which
     /// makes the count meaningless).
@@ -242,7 +434,9 @@ impl CliArgs {
 ///
 /// Experiment names are validated against [`ALL_EXPERIMENTS`] and de-duplicated
 /// here, at parse time — a typo fails fast with the usage string instead of
-/// surfacing only after minutes of corpus generation.
+/// surfacing only after minutes of corpus generation.  Flag values are checked
+/// as they are read; the rules that span several flags follow, then every
+/// given flag is checked against the experiments it applies to.
 fn parse_args(args: impl IntoIterator<Item = String>) -> Result<CliArgs, String> {
     let mut parsed = CliArgs {
         fast: false,
@@ -270,156 +464,41 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> Result<CliArgs, String>
         help: false,
         requested: Vec::new(),
     };
+    let mut given: Vec<&str> = Vec::new();
     let mut iter = args.into_iter();
     while let Some(arg) = iter.next() {
-        match arg.as_str() {
-            "--fast" => parsed.fast = true,
-            "--no-sim-cache" => parsed.sim_cache = false,
-            "--help" | "-h" => parsed.help = true,
-            "--threads" => {
-                let value = iter
-                    .next()
-                    .ok_or_else(|| format!("--threads needs a value\n{}", usage()))?;
-                parsed.threads = parse_count(&value, "--threads")?;
+        if arg == "--help" || arg == "-h" {
+            parsed.help = true;
+        } else if arg.starts_with('-') {
+            let (name, inline) = match arg.split_once('=') {
+                Some((name, value)) => (name, Some(value.to_owned())),
+                None => (arg.as_str(), None),
+            };
+            let flag = FLAGS
+                .iter()
+                .find(|flag| flag.name == name)
+                .filter(|flag| inline.is_none() || flag.kind.placeholder().is_some())
+                .ok_or_else(|| format!("unknown flag '{arg}'\n{}", usage()))?;
+            let value = match (flag.kind.placeholder(), inline) {
+                (None, _) => String::new(),
+                (Some(_), Some(value)) => value,
+                (Some(placeholder), None) => iter.next().ok_or_else(|| {
+                    let needs = if placeholder == "FILE" {
+                        "a file path"
+                    } else {
+                        "a value"
+                    };
+                    format!("{} needs {needs}\n{}", flag.name, usage())
+                })?,
+            };
+            flag.kind.apply(&mut parsed, flag.name, value)?;
+            given.push(flag.name);
+        } else if arg == "all" || arg == SAVE_MODEL || ALL_EXPERIMENTS.contains(&arg.as_str()) {
+            if !parsed.requested.contains(&arg) {
+                parsed.requested.push(arg);
             }
-            "--count" => {
-                let value = iter
-                    .next()
-                    .ok_or_else(|| format!("--count needs a value\n{}", usage()))?;
-                parsed.count = parse_sweep_count(&value)?;
-                parsed.count_explicit = true;
-            }
-            "--stream" => parsed.stream = true,
-            "--full" => parsed.full = true,
-            "--resume" => parsed.resume = true,
-            "--surrogate" => parsed.surrogate = true,
-            "--surrogate-train" => {
-                let value = iter
-                    .next()
-                    .ok_or_else(|| format!("--surrogate-train needs a value\n{}", usage()))?;
-                parsed.surrogate_train = Some(
-                    parse_sweep_count(&value)
-                        .map_err(|e| e.replace("--count", "--surrogate-train"))?,
-                );
-            }
-            "--audit-rate" => {
-                let value = iter
-                    .next()
-                    .ok_or_else(|| format!("--audit-rate needs a value\n{}", usage()))?;
-                parsed.audit_rate = Some(parse_audit_rate(&value)?);
-            }
-            "--save-surrogate" => {
-                let value = iter
-                    .next()
-                    .ok_or_else(|| format!("--save-surrogate needs a file path\n{}", usage()))?;
-                parsed.save_surrogate = Some(value);
-            }
-            "--load-surrogate" => {
-                let value = iter
-                    .next()
-                    .ok_or_else(|| format!("--load-surrogate needs a file path\n{}", usage()))?;
-                parsed.load_surrogate = Some(value);
-            }
-            "--max-power" => {
-                let value = iter
-                    .next()
-                    .ok_or_else(|| format!("--max-power needs a value\n{}", usage()))?;
-                parsed.max_power = Some(parse_bound(&value, "--max-power")?);
-            }
-            "--min-ipc" => {
-                let value = iter
-                    .next()
-                    .ok_or_else(|| format!("--min-ipc needs a value\n{}", usage()))?;
-                parsed.min_ipc = Some(parse_bound(&value, "--min-ipc")?);
-            }
-            "--chunk" => {
-                let value = iter
-                    .next()
-                    .ok_or_else(|| format!("--chunk needs a value\n{}", usage()))?;
-                parsed.chunk =
-                    parse_sweep_count(&value).map_err(|e| e.replace("--count", "--chunk"))?;
-            }
-            "--checkpoint" => {
-                let value = iter
-                    .next()
-                    .ok_or_else(|| format!("--checkpoint needs a file path\n{}", usage()))?;
-                parsed.checkpoint = Some(value);
-            }
-            "--max-chunks" => {
-                let value = iter
-                    .next()
-                    .ok_or_else(|| format!("--max-chunks needs a value\n{}", usage()))?;
-                parsed.max_chunks = parse_sweep_count(&value)
-                    .map_err(|e| e.replace("--count", "--max-chunks"))?
-                    as u64;
-            }
-            "--model" => {
-                let value = iter
-                    .next()
-                    .ok_or_else(|| format!("--model needs a value\n{}", usage()))?;
-                parsed.model = parse_model(&value)?;
-                parsed.model_explicit = true;
-            }
-            "--load-model" => {
-                let value = iter
-                    .next()
-                    .ok_or_else(|| format!("--load-model needs a file path\n{}", usage()))?;
-                parsed.load_model = Some(value);
-            }
-            "--out" => {
-                let value = iter
-                    .next()
-                    .ok_or_else(|| format!("--out needs a file path\n{}", usage()))?;
-                parsed.out = Some(value);
-            }
-            other => {
-                if let Some(value) = other.strip_prefix("--threads=") {
-                    parsed.threads = parse_count(value, "--threads")?;
-                } else if let Some(value) = other.strip_prefix("--count=") {
-                    parsed.count = parse_sweep_count(value)?;
-                    parsed.count_explicit = true;
-                } else if let Some(value) = other.strip_prefix("--chunk=") {
-                    parsed.chunk =
-                        parse_sweep_count(value).map_err(|e| e.replace("--count", "--chunk"))?;
-                } else if let Some(value) = other.strip_prefix("--checkpoint=") {
-                    parsed.checkpoint = Some(value.to_owned());
-                } else if let Some(value) = other.strip_prefix("--max-chunks=") {
-                    parsed.max_chunks = parse_sweep_count(value)
-                        .map_err(|e| e.replace("--count", "--max-chunks"))?
-                        as u64;
-                } else if let Some(value) = other.strip_prefix("--surrogate-train=") {
-                    parsed.surrogate_train = Some(
-                        parse_sweep_count(value)
-                            .map_err(|e| e.replace("--count", "--surrogate-train"))?,
-                    );
-                } else if let Some(value) = other.strip_prefix("--audit-rate=") {
-                    parsed.audit_rate = Some(parse_audit_rate(value)?);
-                } else if let Some(value) = other.strip_prefix("--save-surrogate=") {
-                    parsed.save_surrogate = Some(value.to_owned());
-                } else if let Some(value) = other.strip_prefix("--load-surrogate=") {
-                    parsed.load_surrogate = Some(value.to_owned());
-                } else if let Some(value) = other.strip_prefix("--max-power=") {
-                    parsed.max_power = Some(parse_bound(value, "--max-power")?);
-                } else if let Some(value) = other.strip_prefix("--min-ipc=") {
-                    parsed.min_ipc = Some(parse_bound(value, "--min-ipc")?);
-                } else if let Some(value) = other.strip_prefix("--model=") {
-                    parsed.model = parse_model(value)?;
-                    parsed.model_explicit = true;
-                } else if let Some(value) = other.strip_prefix("--load-model=") {
-                    parsed.load_model = Some(value.to_owned());
-                } else if let Some(value) = other.strip_prefix("--out=") {
-                    parsed.out = Some(value.to_owned());
-                } else if other.starts_with('-') {
-                    return Err(format!("unknown flag '{other}'\n{}", usage()));
-                } else if other == "all" || other == SAVE_MODEL || ALL_EXPERIMENTS.contains(&other)
-                {
-                    if !parsed.requested.iter().any(|r| r == other) {
-                        parsed.requested.push(other.to_owned());
-                    }
-                } else {
-                    return Err(format!("unknown experiment '{other}'\n{}", usage()));
-                }
-            }
+        } else {
+            return Err(format!("unknown experiment '{arg}'\n{}", usage()));
         }
     }
     if parsed.requested.is_empty() || parsed.requested.iter().any(|a| a == "all") {
@@ -429,93 +508,18 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> Result<CliArgs, String>
             parsed.requested.push(SAVE_MODEL.to_owned());
         }
     }
-    if parsed.load_model.is_some() {
-        if let Some(bad) = parsed
-            .requested
-            .iter()
-            .find(|name| !LOADABLE_EXPERIMENTS.contains(&name.as_str()))
-        {
-            return Err(format!(
-                "--load-model applies to {} only; '{bad}' retrains by design\n{}",
-                LOADABLE_EXPERIMENTS.join("/"),
-                usage()
-            ));
-        }
-    }
-    if !parsed.sim_cache {
-        if let Some(bad) = parsed
-            .requested
-            .iter()
-            .find(|name| !SIM_CACHE_EXPERIMENTS.contains(&name.as_str()))
-        {
-            return Err(format!(
-                "--no-sim-cache applies to {} only; '{bad}' never caches simulations\n{}",
-                SIM_CACHE_EXPERIMENTS.join("/"),
-                usage()
-            ));
-        }
-    }
+    let refuse = |message: &str| Err(format!("{message}\n{}", usage()));
     if parsed.out.is_some() && !parsed.requested.iter().any(|a| a == SAVE_MODEL) {
-        return Err(format!(
-            "--out only makes sense with {SAVE_MODEL}\n{}",
-            usage()
-        ));
+        return refuse(&format!("--out only makes sense with {SAVE_MODEL}"));
     }
     if parsed.full && parsed.count_explicit {
-        return Err(format!(
-            "--full streams the whole design space; --count does not apply\n{}",
-            usage()
-        ));
-    }
-    if parsed.stream || parsed.full {
-        let flag = if parsed.full { "--full" } else { "--stream" };
-        if let Some(bad) = parsed
-            .requested
-            .iter()
-            .find(|name| !STREAM_EXPERIMENTS.contains(&name.as_str()))
-        {
-            return Err(format!(
-                "{flag} applies to {} only; '{bad}' does not stream\n{}",
-                STREAM_EXPERIMENTS.join("/"),
-                usage()
-            ));
-        }
+        return refuse("--full streams the whole design space; --count does not apply");
     }
     if parsed.resume && parsed.checkpoint.is_none() {
-        return Err(format!("--resume requires --checkpoint FILE\n{}", usage()));
+        return refuse("--resume requires --checkpoint FILE");
     }
     if parsed.max_chunks > 0 && parsed.checkpoint.is_none() {
-        return Err(format!(
-            "--max-chunks stops a checkpointed run; it requires --checkpoint FILE\n{}",
-            usage()
-        ));
-    }
-    if parsed.checkpoint.is_some() {
-        if let Some(bad) = parsed
-            .requested
-            .iter()
-            .find(|name| !CHECKPOINT_EXPERIMENTS.contains(&name.as_str()))
-        {
-            return Err(format!(
-                "--checkpoint/--resume/--max-chunks apply to {} only; '{bad}' keeps no \
-                 checkpoint\n{}",
-                CHECKPOINT_EXPERIMENTS.join("/"),
-                usage()
-            ));
-        }
-    }
-    if parsed.chunk > 0 {
-        if let Some(bad) = parsed
-            .requested
-            .iter()
-            .find(|name| !SIM_CACHE_EXPERIMENTS.contains(&name.as_str()))
-        {
-            return Err(format!(
-                "--chunk applies to {} only; '{bad}' does not run the sweep engine\n{}",
-                SIM_CACHE_EXPERIMENTS.join("/"),
-                usage()
-            ));
-        }
+        return refuse("--max-chunks stops a checkpointed run; it requires --checkpoint FILE");
     }
     for (flag, present) in [
         ("--surrogate-train", parsed.surrogate_train.is_some()),
@@ -524,106 +528,44 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> Result<CliArgs, String>
         ("--load-surrogate", parsed.load_surrogate.is_some()),
     ] {
         if present && !parsed.surrogate {
-            return Err(format!(
-                "{flag} configures the surrogate backend; it requires --surrogate\n{}",
-                usage()
+            return refuse(&format!(
+                "{flag} configures the surrogate backend; it requires --surrogate"
             ));
         }
     }
     if parsed.save_surrogate.is_some() && parsed.load_surrogate.is_some() {
-        return Err(format!(
+        return refuse(
             "--save-surrogate with --load-surrogate would rewrite the file it just read; \
-             pick one\n{}",
-            usage()
-        ));
+             pick one",
+        );
     }
     if parsed.surrogate_train.is_some() && parsed.load_surrogate.is_some() {
-        return Err(format!(
-            "--surrogate-train sizes a fresh training run; it conflicts with \
-             --load-surrogate\n{}",
-            usage()
-        ));
+        return refuse(
+            "--surrogate-train sizes a fresh training run; it conflicts with --load-surrogate",
+        );
     }
-    if parsed.surrogate {
+    for flag in FLAGS.iter().filter(|flag| given.contains(&flag.name)) {
+        let Some(verbs) = flag.verbs else { continue };
         if let Some(bad) = parsed
             .requested
             .iter()
-            .find(|name| !SURROGATE_EXPERIMENTS.contains(&name.as_str()))
+            .find(|name| !verbs.names.contains(&name.as_str()))
         {
-            return Err(format!(
-                "--surrogate applies to {} only; '{bad}' always simulates exactly\n{}",
-                SURROGATE_EXPERIMENTS.join("/"),
-                usage()
+            let subject = match verbs.group {
+                Some(group) => format!("{group} apply"),
+                None => format!("{} applies", flag.name),
+            };
+            return refuse(&format!(
+                "{subject} to {} only; '{bad}' {}",
+                verbs.names.join("/"),
+                verbs.reason
             ));
         }
     }
-    if parsed.max_power.is_some() || parsed.min_ipc.is_some() {
-        if let Some(bad) = parsed
-            .requested
-            .iter()
-            .find(|name| !CONSTRAINT_EXPERIMENTS.contains(&name.as_str()))
-        {
-            return Err(format!(
-                "--max-power/--min-ipc apply to {} only; '{bad}' computes no frontier\n{}",
-                CONSTRAINT_EXPERIMENTS.join("/"),
-                usage()
-            ));
-        }
-        if let Err(message) = parsed.constraints().validate() {
-            return Err(format!("{message}\n{}", usage()));
-        }
+    if let Err(message) = parsed.constraints().validate() {
+        return refuse(&message);
     }
     Ok(parsed)
-}
-
-fn parse_count(value: &str, flag: &str) -> Result<usize, String> {
-    value.parse::<usize>().map_err(|_| {
-        format!(
-            "{flag} expects a non-negative integer, got '{value}'\n{}",
-            usage()
-        )
-    })
-}
-
-/// Like [`parse_count`] but rejects zero: an empty sweep has nothing to report
-/// (whereas `--threads 0` legitimately means "auto").
-fn parse_sweep_count(value: &str) -> Result<usize, String> {
-    match value.parse::<usize>() {
-        Ok(n) if n > 0 => Ok(n),
-        _ => Err(format!(
-            "--count expects a positive integer, got '{value}'\n{}",
-            usage()
-        )),
-    }
-}
-
-/// Parses `--audit-rate`: a finite fraction in `(0, 1]`.  Zero is rejected
-/// here — a surrogate sweep that can never audit would only fail later with
-/// "audited zero configurations".
-fn parse_audit_rate(value: &str) -> Result<f64, String> {
-    match value.parse::<f64>() {
-        Ok(rate) if rate.is_finite() && rate > 0.0 && rate <= 1.0 => Ok(rate),
-        _ => Err(format!(
-            "--audit-rate expects a fraction in (0, 1], got '{value}'\n{}",
-            usage()
-        )),
-    }
-}
-
-/// Parses a pareto feasibility bound as a number; domain checks (finite,
-/// sign) are [`ParetoConstraints::validate`]'s, so the CLI and the library
-/// reject exactly the same bounds.
-fn parse_bound(value: &str, flag: &str) -> Result<f64, String> {
-    value
-        .parse::<f64>()
-        .map_err(|_| format!("{flag} expects a number, got '{value}'\n{}", usage()))
-}
-
-/// Resolves a `--model` value against the [`ModelKind`] registry.
-fn parse_model(value: &str) -> Result<ModelKind, String> {
-    value
-        .parse::<ModelKind>()
-        .map_err(|e| format!("{e}\n{}", usage()))
 }
 
 /// Restores the `--load-model` file and checks it against an explicit
@@ -648,39 +590,22 @@ fn print_streaming(result: &StreamSweepResult) {
     eprintln!("{}", result.diagnostics());
 }
 
-/// Trains or loads the `--surrogate` backend for a sweep verb (`None` when
-/// the flag is absent).
-fn acquire_surrogate(
-    experiments: &Experiments,
-    name: &str,
-    args: &CliArgs,
-) -> Result<Option<autopower::ActivitySurrogate>, String> {
-    if !args.surrogate {
-        return Ok(None);
-    }
-    experiments
-        .sweep_surrogate(&args.surrogate_options())
-        .map(Some)
-        .map_err(|e| format!("{name}: {e}"))
-}
-
 fn run_one(experiments: &Experiments, name: &str, args: &CliArgs) -> Result<(), String> {
     let err = |e: autopower::AutoPowerError| format!("{name}: {e}");
-    if name == SAVE_MODEL {
-        let model = experiments.train_sweep_model(args.model).map_err(err)?;
-        let path = args
-            .out
-            .clone()
-            .unwrap_or_else(|| format!("{}.apm", args.model));
-        autopower::save_model(model.as_ref(), &path).map_err(err)?;
-        println!(
-            "saved trained '{}' model to {path} (format v{})\n",
-            args.model,
-            autopower::MODEL_FORMAT_VERSION
-        );
-        return Ok(());
-    }
     match name {
+        SAVE_MODEL => {
+            let model = experiments.train_sweep_model(args.model).map_err(err)?;
+            let path = args
+                .out
+                .clone()
+                .unwrap_or_else(|| format!("{}.apm", args.model));
+            autopower::save_model(model.as_ref(), &path).map_err(err)?;
+            println!(
+                "saved trained '{}' model to {path} (format v{})\n",
+                args.model,
+                autopower::MODEL_FORMAT_VERSION
+            );
+        }
         "obs1" => println!("{}\n", experiments.obs1_breakdown()),
         "table1" => println!("{}\n", experiments.table1_hardware_model()),
         "fig4" => println!(
@@ -694,106 +619,54 @@ fn run_one(experiments: &Experiments, name: &str, args: &CliArgs) -> Result<(), 
         "fig6" => println!("{}\n", experiments.fig6_training_sweep().map_err(err)?),
         "fig7" => println!("{}\n", experiments.fig7_clock_detail()),
         "fig8" => println!("{}\n", experiments.fig8_sram_detail()),
-        "table4" => match &args.load_model {
-            Some(path) => {
-                let model = load_cli_model(args, path)?;
-                println!(
-                    "{}\n",
-                    experiments.table4_power_trace_loaded(model.as_ref())
-                );
-            }
-            None => println!(
-                "{}\n",
-                experiments
-                    .table4_power_trace_model(args.model)
-                    .map_err(err)?
-            ),
-        },
         "ablation" => println!("{}\n", experiments.ablation_study()),
-        "sweep" if args.wants_streaming_sweep() => {
-            let scope = args.stream_scope();
-            let options = args.stream_options();
-            let surrogate = acquire_surrogate(experiments, name, args)?;
-            let extras = StreamExtras {
-                surrogate: surrogate.as_ref().map(|s| SurrogateSpec {
-                    surrogate: s,
+        "sweep" | "pareto" | "table4" => {
+            // `--surrogate` is refused at parse time for `table4`.
+            let surrogate = args
+                .surrogate
+                .then(|| experiments.sweep_surrogate(&args.surrogate_options()))
+                .transpose()
+                .map_err(err)?;
+            let loaded = args
+                .load_model
+                .as_deref()
+                .map(|path| load_cli_model(args, path))
+                .transpose()?;
+            let request = SweepRequest {
+                model: match &loaded {
+                    Some(model) => ModelSource::Loaded(model.as_ref()),
+                    None => ModelSource::Train(args.model),
+                },
+                scope: args.stream_scope(),
+                surrogate: surrogate.as_ref().map(|surrogate| SurrogateSpec {
+                    surrogate,
                     audit_rate: args.effective_audit_rate(),
                 }),
-                constraints: ParetoConstraints::default(),
             };
-            let result = match &args.load_model {
-                Some(path) => {
-                    let model = load_cli_model(args, path)?;
-                    experiments
-                        .streaming_sweep_loaded_opts(scope, model.as_ref(), &options, &extras)
-                        .map_err(err)?
-                }
-                None => experiments
-                    .streaming_sweep_opts(scope, args.model, &options, &extras)
-                    .map_err(err)?,
-            };
-            print_streaming(&result);
-        }
-        "sweep" => {
-            let surrogate = acquire_surrogate(experiments, name, args)?;
-            let spec = surrogate.as_ref().map(|s| SurrogateSpec {
-                surrogate: s,
-                audit_rate: args.effective_audit_rate(),
-            });
-            match (&args.load_model, spec) {
-                (Some(path), Some(spec)) => {
-                    let model = load_cli_model(args, path)?;
-                    println!(
-                        "{}\n",
-                        experiments
-                            .design_space_sweep_loaded_surrogate(args.count, model.as_ref(), spec)
-                            .map_err(err)?
-                    );
-                }
-                (Some(path), None) => {
-                    let model = load_cli_model(args, path)?;
-                    println!(
-                        "{}\n",
-                        experiments.design_space_sweep_loaded(args.count, model.as_ref())
-                    );
-                }
-                (None, Some(spec)) => println!(
+            match name {
+                "table4" => println!(
                     "{}\n",
                     experiments
-                        .design_space_sweep_surrogate(args.count, args.model, spec)
+                        .table4_power_trace_with(request.model)
                         .map_err(err)?
                 ),
-                (None, None) => println!(
+                "pareto" => {
+                    let result = experiments
+                        .pareto_frontier(&request, args.constraints())
+                        .map_err(err)?;
+                    println!("{result}\n");
+                    eprintln!("{}", result.diagnostics());
+                }
+                _ if args.wants_streaming_sweep() => print_streaming(
+                    &experiments
+                        .streaming_sweep(&request, &args.stream_options())
+                        .map_err(err)?,
+                ),
+                _ => println!(
                     "{}\n",
-                    experiments
-                        .design_space_sweep_model(args.count, args.model)
-                        .map_err(err)?
+                    experiments.design_space_sweep(&request).map_err(err)?
                 ),
             }
-        }
-        "pareto" => {
-            let scope = args.stream_scope();
-            let surrogate = acquire_surrogate(experiments, name, args)?;
-            let extras = StreamExtras {
-                surrogate: surrogate.as_ref().map(|s| SurrogateSpec {
-                    surrogate: s,
-                    audit_rate: args.effective_audit_rate(),
-                }),
-                constraints: args.constraints(),
-            };
-            let result = match &args.load_model {
-                Some(path) => {
-                    let model = load_cli_model(args, path)?;
-                    experiments
-                        .pareto_frontier_loaded_opts(scope, model.as_ref(), &extras)
-                        .map_err(err)?
-                }
-                None => experiments
-                    .pareto_frontier_opts(scope, args.model, &extras)
-                    .map_err(err)?,
-            };
-            println!("{result}\n");
-            eprintln!("{}", result.diagnostics());
         }
         "xval" => println!(
             "{}\n",
@@ -1252,5 +1125,28 @@ mod tests {
         assert!(!parsed.model_explicit);
         let parsed = parse_args(args(&["sweep", "--model", "autopower"])).expect("valid arguments");
         assert!(parsed.model_explicit);
+    }
+
+    #[test]
+    fn usage_lists_exactly_the_flag_table() {
+        let text = usage();
+        for flag in FLAGS {
+            let entry = match flag.kind.placeholder() {
+                Some(value) => format!("[{} {value}]", flag.name),
+                None => format!("[{}]", flag.name),
+            };
+            assert!(text.contains(&entry), "usage lacks {entry}");
+        }
+        // Every `--flag` the prose mentions is a real row.
+        for (at, _) in text.match_indices("--") {
+            let token: String = text[at..]
+                .chars()
+                .take_while(|c| *c == '-' || c.is_ascii_lowercase())
+                .collect();
+            assert!(
+                FLAGS.iter().any(|flag| flag.name == token),
+                "usage mentions {token}, which is not a flag"
+            );
+        }
     }
 }

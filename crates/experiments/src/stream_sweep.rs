@@ -29,8 +29,7 @@ use crate::Experiments;
 use autopower::{
     encode_model, encode_surrogate, load_checkpoint_salvaged, save_checkpoint, ActivitySurrogate,
     AuditReport, AutoPowerError, CheckpointSalvage, ChunkCursor, ModelKind, ParetoConstraints,
-    ParetoEntry, PowerModel, PowerSeries, SimBackend, StreamSpec, SweepAggregator, SweepCheckpoint,
-    SweepEngine,
+    ParetoEntry, PowerModel, PowerSeries, StreamSpec, SweepAggregator, SweepCheckpoint,
 };
 use autopower_config::{ConfigId, DesignSpace, HwParam, Workload};
 use autopower_perfsim::{SimCacheStats, SimConfig};
@@ -78,16 +77,47 @@ pub struct SurrogateSpec<'a> {
     pub audit_rate: f64,
 }
 
-/// Scoring extras of a sweep run beyond model/scope/checkpointing: surrogate
-/// backing and Pareto feasibility constraints.  `Default` is the classic run —
-/// exact simulation, unconstrained frontier.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct StreamExtras<'a> {
+/// Where a sweep's power model comes from.
+#[derive(Debug, Clone, Copy)]
+pub enum ModelSource<'a> {
+    /// Train this registry model on the two known configurations
+    /// ([`Experiments::train_sweep_model`]); reports name the training set.
+    Train(ModelKind),
+    /// Score with an already trained model, e.g. one restored with
+    /// [`autopower::load_model`] (the `--load-model` CLI path).  No training
+    /// corpus is generated, and reports say "loaded pre-trained": the model
+    /// file records no training set.
+    Loaded(&'a dyn PowerModel),
+}
+
+/// Number of generated configurations a sweep scores when nothing else is
+/// asked for (the CLI's `--count` default).
+pub const DEFAULT_SWEEP_COUNT: usize = 256;
+
+/// What a sweep verb scores: the model, the configurations and the
+/// simulation backend.  Shared by [`Experiments::design_space_sweep`],
+/// [`Experiments::streaming_sweep`] and [`Experiments::pareto_frontier`].
+///
+/// `Default` trains AutoPower, samples [`DEFAULT_SWEEP_COUNT`]
+/// configurations and simulates every point exactly.
+#[derive(Debug, Clone, Copy)]
+pub struct SweepRequest<'a> {
+    /// The model that scores the sweep.
+    pub model: ModelSource<'a>,
+    /// Which configurations are scored.
+    pub scope: StreamScope,
     /// Score with a learned surrogate instead of exact simulation.
     pub surrogate: Option<SurrogateSpec<'a>>,
-    /// Feasibility constraints applied before the Pareto frontier fold
-    /// (`--max-power` / `--min-ipc`; the `pareto` verb only).
-    pub constraints: ParetoConstraints,
+}
+
+impl Default for SweepRequest<'_> {
+    fn default() -> Self {
+        Self {
+            model: ModelSource::Train(ModelKind::AutoPower),
+            scope: StreamScope::Sampled(DEFAULT_SWEEP_COUNT),
+            surrogate: None,
+        }
+    }
 }
 
 /// Result of a streaming design-space sweep.
@@ -483,337 +513,46 @@ fn sweep_fingerprint(
 }
 
 impl Experiments {
-    /// Streams the design space through a freshly trained registry model with
-    /// bounded memory (the `sweep --stream` / `sweep --full` CLI path).
+    /// Streams the request's scope through the bounded-memory aggregator (the
+    /// `sweep --stream` / `sweep --full` CLI path), checkpointing, resuming
+    /// and stopping as `options` say.
     ///
     /// # Errors
     ///
-    /// Returns an error if training fails or checkpoint handling fails.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the scope is empty ([`StreamScope::Sampled`] with zero).
+    /// Returns [`AutoPowerError::EmptyEvaluation`] if the scope holds no
+    /// configuration, and an error if training or checkpoint handling fails,
+    /// the surrogate is incompatible with the sweep, or a *completed*
+    /// surrogate sweep audited zero configurations (its error table would be
+    /// empty).
     pub fn streaming_sweep(
         &self,
-        scope: StreamScope,
-        kind: ModelKind,
+        request: &SweepRequest<'_>,
         options: &StreamOptions,
     ) -> Result<StreamSweepResult, AutoPowerError> {
-        self.streaming_sweep_opts(scope, kind, options, &StreamExtras::default())
+        self.stream_with(request, options, ParetoConstraints::default())
     }
 
-    /// [`Experiments::streaming_sweep`] with scoring extras: a surrogate
-    /// backend (`--surrogate`) and/or Pareto feasibility constraints.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if training fails, checkpoint handling fails, the
-    /// surrogate is incompatible with the sweep, or a *completed* surrogate
-    /// sweep audited zero configurations (its error table would be empty).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `extras.constraints` carry a non-finite or non-positive
-    /// bound (the CLI validates them at parse time).
-    pub fn streaming_sweep_opts(
-        &self,
-        scope: StreamScope,
-        kind: ModelKind,
-        options: &StreamOptions,
-        extras: &StreamExtras<'_>,
-    ) -> Result<StreamSweepResult, AutoPowerError> {
-        let corpus = self.sweep_training_corpus();
-        let model = kind.train(&corpus, &self.settings().train_two)?;
-        self.streaming_sweep_with(
-            scope,
-            model.as_ref(),
-            Some(self.settings().train_two.clone()),
-            options,
-            extras,
-        )
-    }
-
-    /// Streams the design space through an already-trained model (the
-    /// `sweep --stream --load-model FILE` CLI path).
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if checkpoint handling fails.
-    pub fn streaming_sweep_loaded(
-        &self,
-        scope: StreamScope,
-        model: &dyn PowerModel,
-        options: &StreamOptions,
-    ) -> Result<StreamSweepResult, AutoPowerError> {
-        self.streaming_sweep_with(scope, model, None, options, &StreamExtras::default())
-    }
-
-    /// [`Experiments::streaming_sweep_loaded`] with scoring extras (see
-    /// [`Experiments::streaming_sweep_opts`] for the error and panic
-    /// contract).
+    /// Computes the power-vs-IPC-vs-area Pareto frontier of the request's
+    /// scope (the `pareto` CLI verb), keeping only the configurations that
+    /// satisfy `constraints` (`--max-power` / `--min-ipc`) before the
+    /// frontier fold.  Always streams — the frontier needs no point
+    /// retention.
     ///
     /// # Errors
     ///
     /// Returns an error under the same conditions as
-    /// [`Experiments::streaming_sweep_opts`].
-    pub fn streaming_sweep_loaded_opts(
-        &self,
-        scope: StreamScope,
-        model: &dyn PowerModel,
-        options: &StreamOptions,
-        extras: &StreamExtras<'_>,
-    ) -> Result<StreamSweepResult, AutoPowerError> {
-        self.streaming_sweep_with(scope, model, None, options, extras)
-    }
-
-    fn streaming_sweep_with(
-        &self,
-        scope: StreamScope,
-        model: &dyn PowerModel,
-        train_configs: Option<Vec<ConfigId>>,
-        options: &StreamOptions,
-        extras: &StreamExtras<'_>,
-    ) -> Result<StreamSweepResult, AutoPowerError> {
-        let space = &self.settings().sweep_space;
-        let workloads = self.settings().average_workloads.clone();
-        let spec = self.sweep_spec();
-        let scope_total = match scope {
-            StreamScope::Sampled(count) => {
-                assert!(count > 0, "a sweep needs at least one configuration");
-                count as u64
-            }
-            StreamScope::Full => space.total(),
-        };
-        assert!(scope_total > 0, "the design space is empty");
-        let mut fingerprint = sweep_fingerprint(space, &workloads, model, scope, &spec.sim);
-        // Surrogate backing and constraints join the fingerprint: resuming a
-        // checkpoint under a different surrogate, audit rate or feasibility
-        // bound would silently mix two different sweeps.  Exact unconstrained
-        // runs fold nothing, keeping their fingerprints (and old checkpoints)
-        // unchanged.
-        let mut extra = String::new();
-        if let Some(p) = extras.constraints.max_power {
-            let _ = write!(extra, "max-power {:016x};", p.to_bits());
-        }
-        if let Some(i) = extras.constraints.min_ipc {
-            let _ = write!(extra, "min-ipc {:016x};", i.to_bits());
-        }
-        if let Some(s) = &extras.surrogate {
-            let _ = write!(extra, "audit-rate {:016x};", s.audit_rate.to_bits());
-        }
-        fingerprint = fnv1a(fingerprint, extra.as_bytes());
-        if let Some(s) = &extras.surrogate {
-            fingerprint = fnv1a(fingerprint, encode_surrogate(s.surrogate).as_bytes());
-        }
-        let stream_spec = StreamSpec {
-            top_k: TOP_K,
-            sketch_level_capacity: SKETCH_LEVEL_CAPACITY,
-        };
-        let (mut aggregator, start, saved_audit, salvage) = if options.resume {
-            let path = options.checkpoint.as_ref().ok_or_else(|| {
-                AutoPowerError::Checkpoint("--resume requires --checkpoint FILE".to_owned())
-            })?;
-            // Salvage mode: a main file torn by a crash falls back to a
-            // complete fingerprint-matching `.tmp` sibling; what was
-            // recovered is surfaced through `diagnostics()`.
-            let (checkpoint, salvage) = load_checkpoint_salvaged(path, Some(fingerprint))?;
-            if checkpoint.fingerprint != fingerprint {
-                return Err(AutoPowerError::Checkpoint(format!(
-                    "{} belongs to a different sweep (space, workloads, model, scope or \
-                     simulation settings changed since it was written)",
-                    path.display()
-                )));
-            }
-            if checkpoint.aggregator.per_config() != workloads.len() {
-                return Err(AutoPowerError::Checkpoint(format!(
-                    "{} aggregates {} workload(s) per configuration, this sweep has {}",
-                    path.display(),
-                    checkpoint.aggregator.per_config(),
-                    workloads.len()
-                )));
-            }
-            (
-                checkpoint.aggregator,
-                checkpoint.cursor.offset,
-                checkpoint.audit,
-                salvage,
-            )
-        } else {
-            (
-                SweepAggregator::new(workloads.len(), &stream_spec)
-                    .with_pareto_constraints(extras.constraints),
-                0,
-                None,
-                None,
-            )
-        };
-
-        let mut engine = SweepEngine::new(model, spec);
-        if let Some(s) = &extras.surrogate {
-            engine = engine.with_backend(SimBackend::Surrogate {
-                surrogate: s.surrogate,
-                audit_rate: s.audit_rate,
-            })?;
-        }
-        let engine = engine;
-        if let Some(audit) = saved_audit {
-            engine.restore_audit_state(audit);
-        }
-        let checkpoint_path = options.checkpoint.clone();
-        let max_chunks = options.max_chunks;
-        let mut chunks_done = 0u64;
-        let after_chunk = |aggregator: &SweepAggregator, folded: u64| {
-            if let Some(path) = &checkpoint_path {
-                save_checkpoint(
-                    &SweepCheckpoint {
-                        fingerprint,
-                        cursor: ChunkCursor {
-                            offset: start + folded,
-                        },
-                        aggregator: aggregator.clone(),
-                        audit: engine.audit_state(),
-                    },
-                    path,
-                )?;
-            }
-            chunks_done += 1;
-            Ok(max_chunks == 0 || chunks_done < max_chunks)
-        };
-        let skip = usize::try_from(start)
-            .map_err(|_| AutoPowerError::Checkpoint(format!("cursor offset {start} overflows")))?;
-        let progress = match scope {
-            StreamScope::Full => engine.stream(
-                space.enumerate().skip(skip),
-                &workloads,
-                &mut aggregator,
-                after_chunk,
-            )?,
-            StreamScope::Sampled(count) => engine.stream(
-                space.sample(count, SAMPLE_SEED).into_iter().skip(skip),
-                &workloads,
-                &mut aggregator,
-                after_chunk,
-            )?,
-        };
-        debug_assert_eq!(
-            aggregator.configs_folded(),
-            start + progress.configs_streamed
-        );
-        let audit = engine.audit_report();
-        if let (Some(report), Some(s)) = (&audit, &extras.surrogate) {
-            // An *interrupted* run may legitimately have audited nothing yet;
-            // a completed one presenting an empty error table would be a
-            // silently-unvalidated report.
-            if progress.complete {
-                refuse_unaudited(report, aggregator.configs_folded(), s.audit_rate)?;
-            }
-        }
-        Ok(StreamSweepResult {
-            model: model.kind(),
-            train_configs,
-            workloads,
-            scope,
-            scope_total,
-            streamed: aggregator.configs_folded(),
-            complete: progress.complete,
-            checkpoint: options.checkpoint.clone(),
-            cache_stats: spec.use_sim_cache.then(|| engine.cache_stats()),
-            peak_retained_points: progress.peak_retained_points,
-            audit,
-            audit_rate: extras.surrogate.as_ref().map(|s| s.audit_rate),
-            salvage,
-            aggregator,
-        })
-    }
-
-    /// Computes the power-vs-IPC-vs-area Pareto frontier of the design space
-    /// under a freshly trained registry model (the `pareto` CLI verb).
-    /// Always streams — the frontier needs no point retention.
+    /// [`Experiments::streaming_sweep`].
     ///
-    /// # Errors
+    /// # Panics
     ///
-    /// Returns an error if training fails.
+    /// Panics if `constraints` carry a non-finite or non-positive bound (the
+    /// CLI validates them at parse time).
     pub fn pareto_frontier(
         &self,
-        scope: StreamScope,
-        kind: ModelKind,
+        request: &SweepRequest<'_>,
+        constraints: ParetoConstraints,
     ) -> Result<ParetoResult, AutoPowerError> {
-        self.pareto_frontier_opts(scope, kind, &StreamExtras::default())
-    }
-
-    /// [`Experiments::pareto_frontier`] with scoring extras: feasibility
-    /// constraints (`--max-power` / `--min-ipc`) applied before the frontier
-    /// fold and/or a surrogate backend (`--surrogate`).
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if training fails, the surrogate is incompatible, or
-    /// a surrogate run audited zero configurations.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `extras.constraints` carry a non-finite or non-positive
-    /// bound (the CLI validates them at parse time).
-    pub fn pareto_frontier_opts(
-        &self,
-        scope: StreamScope,
-        kind: ModelKind,
-        extras: &StreamExtras<'_>,
-    ) -> Result<ParetoResult, AutoPowerError> {
-        let corpus = self.sweep_training_corpus();
-        let model = kind.train(&corpus, &self.settings().train_two)?;
-        self.pareto_with(
-            scope,
-            model.as_ref(),
-            Some(self.settings().train_two.clone()),
-            extras,
-        )
-    }
-
-    /// [`Experiments::pareto_frontier`] under an already-trained model (the
-    /// `pareto --load-model FILE` CLI path).
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the streaming sweep fails.
-    pub fn pareto_frontier_loaded(
-        &self,
-        scope: StreamScope,
-        model: &dyn PowerModel,
-    ) -> Result<ParetoResult, AutoPowerError> {
-        self.pareto_with(scope, model, None, &StreamExtras::default())
-    }
-
-    /// [`Experiments::pareto_frontier_loaded`] with scoring extras (see
-    /// [`Experiments::pareto_frontier_opts`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns an error under the same conditions as
-    /// [`Experiments::pareto_frontier_opts`].
-    pub fn pareto_frontier_loaded_opts(
-        &self,
-        scope: StreamScope,
-        model: &dyn PowerModel,
-        extras: &StreamExtras<'_>,
-    ) -> Result<ParetoResult, AutoPowerError> {
-        self.pareto_with(scope, model, None, extras)
-    }
-
-    fn pareto_with(
-        &self,
-        scope: StreamScope,
-        model: &dyn PowerModel,
-        train_configs: Option<Vec<ConfigId>>,
-        extras: &StreamExtras<'_>,
-    ) -> Result<ParetoResult, AutoPowerError> {
-        let sweep = self.streaming_sweep_with(
-            scope,
-            model,
-            train_configs,
-            &StreamOptions::default(),
-            extras,
-        )?;
+        let sweep = self.stream_with(request, &StreamOptions::default(), constraints)?;
         Ok(ParetoResult {
             model: sweep.model,
             train_configs: sweep.train_configs,
@@ -831,6 +570,160 @@ impl Experiments {
             audit: sweep.audit,
             audit_rate: sweep.audit_rate,
             cache_stats: sweep.cache_stats,
+        })
+    }
+
+    fn stream_with(
+        &self,
+        request: &SweepRequest<'_>,
+        options: &StreamOptions,
+        constraints: ParetoConstraints,
+    ) -> Result<StreamSweepResult, AutoPowerError> {
+        let space = &self.settings().sweep_space;
+        let scope = request.scope;
+        let scope_total = match scope {
+            StreamScope::Sampled(count) => count as u64,
+            StreamScope::Full => space.total(),
+        };
+        if scope_total == 0 {
+            return Err(AutoPowerError::EmptyEvaluation);
+        }
+        self.with_model(request.model, |model, train_configs| {
+            let workloads = self.settings().average_workloads.clone();
+            let spec = self.sweep_spec();
+            let mut fingerprint = sweep_fingerprint(space, &workloads, model, scope, &spec.sim);
+            // Surrogate backing and constraints join the fingerprint: resuming
+            // a checkpoint under a different surrogate, audit rate or
+            // feasibility bound would silently mix two different sweeps.
+            // Exact unconstrained runs fold nothing, keeping their
+            // fingerprints (and old checkpoints) unchanged.
+            let mut extra = String::new();
+            if let Some(p) = constraints.max_power {
+                let _ = write!(extra, "max-power {:016x};", p.to_bits());
+            }
+            if let Some(i) = constraints.min_ipc {
+                let _ = write!(extra, "min-ipc {:016x};", i.to_bits());
+            }
+            if let Some(s) = &request.surrogate {
+                let _ = write!(extra, "audit-rate {:016x};", s.audit_rate.to_bits());
+            }
+            fingerprint = fnv1a(fingerprint, extra.as_bytes());
+            if let Some(s) = &request.surrogate {
+                fingerprint = fnv1a(fingerprint, encode_surrogate(s.surrogate).as_bytes());
+            }
+            let stream_spec = StreamSpec {
+                top_k: TOP_K,
+                sketch_level_capacity: SKETCH_LEVEL_CAPACITY,
+            };
+            let (mut aggregator, start, saved_audit, salvage) = if options.resume {
+                let path = options.checkpoint.as_ref().ok_or_else(|| {
+                    AutoPowerError::Checkpoint("--resume requires --checkpoint FILE".to_owned())
+                })?;
+                // Salvage mode: a main file torn by a crash falls back to a
+                // complete fingerprint-matching `.tmp` sibling; what was
+                // recovered is surfaced through `diagnostics()`.
+                let (checkpoint, salvage) = load_checkpoint_salvaged(path, Some(fingerprint))?;
+                if checkpoint.fingerprint != fingerprint {
+                    return Err(AutoPowerError::Checkpoint(format!(
+                        "{} belongs to a different sweep (space, workloads, model, scope or \
+                         simulation settings changed since it was written)",
+                        path.display()
+                    )));
+                }
+                if checkpoint.aggregator.per_config() != workloads.len() {
+                    return Err(AutoPowerError::Checkpoint(format!(
+                        "{} aggregates {} workload(s) per configuration, this sweep has {}",
+                        path.display(),
+                        checkpoint.aggregator.per_config(),
+                        workloads.len()
+                    )));
+                }
+                (
+                    checkpoint.aggregator,
+                    checkpoint.cursor.offset,
+                    checkpoint.audit,
+                    salvage,
+                )
+            } else {
+                (
+                    SweepAggregator::new(workloads.len(), &stream_spec)
+                        .with_pareto_constraints(constraints),
+                    0,
+                    None,
+                    None,
+                )
+            };
+
+            let engine = self.sweep_engine(model, request.surrogate)?;
+            if let Some(audit) = saved_audit {
+                engine.restore_audit_state(audit);
+            }
+            let checkpoint_path = options.checkpoint.clone();
+            let max_chunks = options.max_chunks;
+            let mut chunks_done = 0u64;
+            let after_chunk = |aggregator: &SweepAggregator, folded: u64| {
+                if let Some(path) = &checkpoint_path {
+                    save_checkpoint(
+                        &SweepCheckpoint {
+                            fingerprint,
+                            cursor: ChunkCursor {
+                                offset: start + folded,
+                            },
+                            aggregator: aggregator.clone(),
+                            audit: engine.audit_state(),
+                        },
+                        path,
+                    )?;
+                }
+                chunks_done += 1;
+                Ok(max_chunks == 0 || chunks_done < max_chunks)
+            };
+            let skip = usize::try_from(start).map_err(|_| {
+                AutoPowerError::Checkpoint(format!("cursor offset {start} overflows"))
+            })?;
+            let progress = match scope {
+                StreamScope::Full => engine.stream(
+                    space.enumerate().skip(skip),
+                    &workloads,
+                    &mut aggregator,
+                    after_chunk,
+                )?,
+                StreamScope::Sampled(count) => engine.stream(
+                    space.sample(count, SAMPLE_SEED).into_iter().skip(skip),
+                    &workloads,
+                    &mut aggregator,
+                    after_chunk,
+                )?,
+            };
+            debug_assert_eq!(
+                aggregator.configs_folded(),
+                start + progress.configs_streamed
+            );
+            let audit = engine.audit_report();
+            if let (Some(report), Some(s)) = (&audit, &request.surrogate) {
+                // An *interrupted* run may legitimately have audited nothing
+                // yet; a completed one presenting an empty error table would
+                // be a silently-unvalidated report.
+                if progress.complete {
+                    refuse_unaudited(report, aggregator.configs_folded(), s.audit_rate)?;
+                }
+            }
+            Ok(StreamSweepResult {
+                model: model.kind(),
+                train_configs,
+                workloads,
+                scope,
+                scope_total,
+                streamed: aggregator.configs_folded(),
+                complete: progress.complete,
+                checkpoint: options.checkpoint.clone(),
+                cache_stats: spec.use_sim_cache.then(|| engine.cache_stats()),
+                peak_retained_points: progress.peak_retained_points,
+                audit,
+                audit_rate: request.surrogate.map(|s| s.audit_rate),
+                salvage,
+                aggregator,
+            })
         })
     }
 }
@@ -858,14 +751,24 @@ mod tests {
     use crate::ExperimentSettings;
     use autopower::area_proxy;
 
+    /// A request scoring `scope` under a freshly trained `kind`, exactly.
+    fn request(scope: StreamScope, kind: ModelKind) -> SweepRequest<'static> {
+        SweepRequest {
+            model: ModelSource::Train(kind),
+            scope,
+            surrogate: None,
+        }
+    }
+
     #[test]
     fn sampled_streaming_matches_the_materialized_sweep_bit_for_bit() {
         let exp = Experiments::fast();
-        let materialized = exp.design_space_sweep(16);
+        let materialized = exp
+            .design_space_sweep(&request(StreamScope::Sampled(16), ModelKind::AutoPower))
+            .unwrap();
         let streamed = exp
             .streaming_sweep(
-                StreamScope::Sampled(16),
-                ModelKind::AutoPower,
+                &request(StreamScope::Sampled(16), ModelKind::AutoPower),
                 &StreamOptions::default(),
             )
             .unwrap();
@@ -908,8 +811,7 @@ mod tests {
         let exp = Experiments::new(settings);
         let result = exp
             .streaming_sweep(
-                StreamScope::Full,
-                ModelKind::AutoPower,
+                &request(StreamScope::Full, ModelKind::AutoPower),
                 &StreamOptions::default(),
             )
             .unwrap();
@@ -940,15 +842,17 @@ mod tests {
 
         // One-shot reference run, no checkpointing at all.
         let one_shot = Experiments::new(settings())
-            .streaming_sweep(scope, ModelKind::AutoPower, &StreamOptions::default())
+            .streaming_sweep(
+                &request(scope, ModelKind::AutoPower),
+                &StreamOptions::default(),
+            )
             .unwrap();
         assert!(one_shot.complete);
 
         // "Killed" after two chunks, at a checkpointed boundary.
         let interrupted = Experiments::new(settings())
             .streaming_sweep(
-                scope,
-                ModelKind::AutoPower,
+                &request(scope, ModelKind::AutoPower),
                 &StreamOptions {
                     checkpoint: Some(path.clone()),
                     resume: false,
@@ -963,8 +867,7 @@ mod tests {
         // Resumed in a fresh harness (fresh corpus, fresh caches).
         let resumed = Experiments::new(settings())
             .streaming_sweep(
-                scope,
-                ModelKind::AutoPower,
+                &request(scope, ModelKind::AutoPower),
                 &StreamOptions {
                     checkpoint: Some(path.clone()),
                     resume: true,
@@ -991,8 +894,7 @@ mod tests {
         let exp = Experiments::fast();
         // Checkpoint a 6-config sampled sweep...
         exp.streaming_sweep(
-            StreamScope::Sampled(6),
-            ModelKind::AutoPower,
+            &request(StreamScope::Sampled(6), ModelKind::AutoPower),
             &StreamOptions {
                 checkpoint: Some(path.clone()),
                 resume: false,
@@ -1007,8 +909,7 @@ mod tests {
         ] {
             let err = exp
                 .streaming_sweep(
-                    scope,
-                    kind,
+                    &request(scope, kind),
                     &StreamOptions {
                         checkpoint: Some(path.clone()),
                         resume: true,
@@ -1024,8 +925,7 @@ mod tests {
         // Resume without a checkpoint path is rejected up front.
         let err = exp
             .streaming_sweep(
-                StreamScope::Sampled(6),
-                ModelKind::AutoPower,
+                &request(StreamScope::Sampled(6), ModelKind::AutoPower),
                 &StreamOptions {
                     checkpoint: None,
                     resume: true,
@@ -1042,8 +942,7 @@ mod tests {
         let exp = Experiments::fast();
         let result = exp
             .streaming_sweep(
-                StreamScope::Sampled(6),
-                ModelKind::McpatCalib,
+                &request(StreamScope::Sampled(6), ModelKind::McpatCalib),
                 &StreamOptions::default(),
             )
             .unwrap();
@@ -1059,7 +958,10 @@ mod tests {
         let settings = ExperimentSettings::fast().with_sweep_space(tiny_space());
         let exp = Experiments::new(settings);
         let result = exp
-            .pareto_frontier(StreamScope::Full, ModelKind::AutoPower)
+            .pareto_frontier(
+                &request(StreamScope::Full, ModelKind::AutoPower),
+                ParetoConstraints::default(),
+            )
             .unwrap();
         assert!(!result.frontier.is_empty());
         assert!(result.frontier.len() as u64 <= result.scope_total);
@@ -1097,24 +999,21 @@ mod tests {
             .unwrap();
         let exact = exp
             .streaming_sweep(
-                StreamScope::Sampled(12),
-                ModelKind::AutoPower,
+                &request(StreamScope::Sampled(12), ModelKind::AutoPower),
                 &StreamOptions::default(),
             )
             .unwrap();
-        let extras = StreamExtras {
-            surrogate: Some(SurrogateSpec {
-                surrogate: &surrogate,
-                audit_rate: 1.0,
-            }),
-            ..StreamExtras::default()
-        };
+        let spec = Some(SurrogateSpec {
+            surrogate: &surrogate,
+            audit_rate: 1.0,
+        });
         let audited = exp
-            .streaming_sweep_opts(
-                StreamScope::Sampled(12),
-                ModelKind::AutoPower,
+            .streaming_sweep(
+                &SweepRequest {
+                    surrogate: spec,
+                    ..request(StreamScope::Sampled(12), ModelKind::AutoPower)
+                },
                 &StreamOptions::default(),
-                &extras,
             )
             .unwrap();
         // Audit rate 1.0 simulates every configuration exactly, so the folded
@@ -1162,19 +1061,19 @@ mod tests {
 
         let one_shot_exp = Experiments::new(settings());
         let one_shot_surrogate = train(&one_shot_exp);
-        let extras = |surrogate| StreamExtras {
-            surrogate: Some(SurrogateSpec {
+        let backed = |surrogate| {
+            Some(SurrogateSpec {
                 surrogate,
                 audit_rate: 0.5,
-            }),
-            ..StreamExtras::default()
+            })
         };
         let one_shot = one_shot_exp
-            .streaming_sweep_opts(
-                scope,
-                ModelKind::AutoPower,
+            .streaming_sweep(
+                &SweepRequest {
+                    surrogate: backed(&one_shot_surrogate),
+                    ..request(scope, ModelKind::AutoPower)
+                },
                 &StreamOptions::default(),
-                &extras(&one_shot_surrogate),
             )
             .unwrap();
         assert!(one_shot.complete);
@@ -1183,15 +1082,16 @@ mod tests {
         let interrupted_exp = Experiments::new(settings());
         let interrupted_surrogate = train(&interrupted_exp);
         let interrupted = interrupted_exp
-            .streaming_sweep_opts(
-                scope,
-                ModelKind::AutoPower,
+            .streaming_sweep(
+                &SweepRequest {
+                    surrogate: backed(&interrupted_surrogate),
+                    ..request(scope, ModelKind::AutoPower)
+                },
                 &StreamOptions {
                     checkpoint: Some(path.clone()),
                     resume: false,
                     max_chunks: 2,
                 },
-                &extras(&interrupted_surrogate),
             )
             .unwrap();
         assert!(!interrupted.complete);
@@ -1199,15 +1099,16 @@ mod tests {
         let resumed_exp = Experiments::new(settings());
         let resumed_surrogate = train(&resumed_exp);
         let resumed = resumed_exp
-            .streaming_sweep_opts(
-                scope,
-                ModelKind::AutoPower,
+            .streaming_sweep(
+                &SweepRequest {
+                    surrogate: backed(&resumed_surrogate),
+                    ..request(scope, ModelKind::AutoPower)
+                },
                 &StreamOptions {
                     checkpoint: Some(path.clone()),
                     resume: true,
                     max_chunks: 0,
                 },
-                &extras(&resumed_surrogate),
             )
             .unwrap();
         assert!(resumed.complete);
@@ -1223,8 +1124,7 @@ mod tests {
         // vice versa): the surrogate and audit rate join the fingerprint.
         let err = resumed_exp
             .streaming_sweep(
-                scope,
-                ModelKind::AutoPower,
+                &request(scope, ModelKind::AutoPower),
                 &StreamOptions {
                     checkpoint: Some(path.clone()),
                     resume: true,
@@ -1252,19 +1152,17 @@ mod tests {
             .unwrap();
         // An audit rate this small deterministically selects none of the
         // sampled configurations.
-        let extras = StreamExtras {
-            surrogate: Some(SurrogateSpec {
-                surrogate: &surrogate,
-                audit_rate: 1e-9,
-            }),
-            ..StreamExtras::default()
-        };
+        let spec = Some(SurrogateSpec {
+            surrogate: &surrogate,
+            audit_rate: 1e-9,
+        });
         let err = exp
-            .streaming_sweep_opts(
-                StreamScope::Sampled(6),
-                ModelKind::AutoPower,
+            .streaming_sweep(
+                &SweepRequest {
+                    surrogate: spec,
+                    ..request(StreamScope::Sampled(6), ModelKind::AutoPower)
+                },
                 &StreamOptions::default(),
-                &extras,
             )
             .unwrap_err();
         assert!(err.to_string().contains("audited zero"), "got: {err}");
@@ -1274,15 +1172,16 @@ mod tests {
         // and with zero exact simulations the enabled cache reports itself
         // idle instead of a misleading 0.0% hit rate.
         let interrupted = exp
-            .streaming_sweep_opts(
-                StreamScope::Sampled(6),
-                ModelKind::AutoPower,
+            .streaming_sweep(
+                &SweepRequest {
+                    surrogate: spec,
+                    ..request(StreamScope::Sampled(6), ModelKind::AutoPower)
+                },
                 &StreamOptions {
                     checkpoint: Some(path.clone()),
                     resume: false,
                     max_chunks: 1,
                 },
-                &extras,
             )
             .unwrap();
         assert!(!interrupted.complete);
@@ -1298,7 +1197,10 @@ mod tests {
         let settings = ExperimentSettings::fast().with_sweep_space(tiny_space());
         let exp = Experiments::new(settings);
         let unconstrained = exp
-            .pareto_frontier(StreamScope::Full, ModelKind::AutoPower)
+            .pareto_frontier(
+                &request(StreamScope::Full, ModelKind::AutoPower),
+                ParetoConstraints::default(),
+            )
             .unwrap();
         assert!(!unconstrained.constraints.is_constrained());
         assert!(
@@ -1310,15 +1212,15 @@ mod tests {
         let bound = unconstrained.frontier[unconstrained.frontier.len() / 2]
             .summary
             .mean_total;
-        let extras = StreamExtras {
-            constraints: ParetoConstraints {
-                max_power: Some(bound),
-                min_ipc: None,
-            },
-            ..StreamExtras::default()
+        let constraints = ParetoConstraints {
+            max_power: Some(bound),
+            min_ipc: None,
         };
         let constrained = exp
-            .pareto_frontier_opts(StreamScope::Full, ModelKind::AutoPower, &extras)
+            .pareto_frontier(
+                &request(StreamScope::Full, ModelKind::AutoPower),
+                constraints,
+            )
             .unwrap();
         assert!(constrained.frontier.len() < unconstrained.frontier.len());
         assert!(!constrained.frontier.is_empty());
@@ -1352,19 +1254,25 @@ mod tests {
                 ..SurrogateOptions::default()
             })
             .unwrap();
-        let extras = StreamExtras {
-            surrogate: Some(SurrogateSpec {
-                surrogate: &surrogate,
-                audit_rate: 1.0,
-            }),
-            ..StreamExtras::default()
-        };
+        let spec = Some(SurrogateSpec {
+            surrogate: &surrogate,
+            audit_rate: 1.0,
+        });
         let result = exp
-            .pareto_frontier_opts(StreamScope::Full, ModelKind::AutoPower, &extras)
+            .pareto_frontier(
+                &SweepRequest {
+                    surrogate: spec,
+                    ..request(StreamScope::Full, ModelKind::AutoPower)
+                },
+                ParetoConstraints::default(),
+            )
             .unwrap();
         // Full audit: the frontier equals the exact run's.
         let exact = exp
-            .pareto_frontier(StreamScope::Full, ModelKind::AutoPower)
+            .pareto_frontier(
+                &request(StreamScope::Full, ModelKind::AutoPower),
+                ParetoConstraints::default(),
+            )
             .unwrap();
         assert_eq!(result.frontier, exact.frontier);
         assert!(result.audit.as_ref().unwrap().audited_points > 0);
@@ -1380,19 +1288,17 @@ mod tests {
         // envelope — if surrogate quality regresses past them, this fails.
         let exp = Experiments::fast();
         let surrogate = exp.sweep_surrogate(&SurrogateOptions::default()).unwrap();
-        let extras = StreamExtras {
-            surrogate: Some(SurrogateSpec {
-                surrogate: &surrogate,
-                audit_rate: 0.25,
-            }),
-            ..StreamExtras::default()
-        };
+        let spec = Some(SurrogateSpec {
+            surrogate: &surrogate,
+            audit_rate: 0.25,
+        });
         let result = exp
-            .streaming_sweep_opts(
-                StreamScope::Sampled(200),
-                ModelKind::AutoPower,
+            .streaming_sweep(
+                &SweepRequest {
+                    surrogate: spec,
+                    ..request(StreamScope::Sampled(200), ModelKind::AutoPower)
+                },
                 &StreamOptions::default(),
-                &extras,
             )
             .unwrap();
         let report = result.audit.expect("audited sweep");
@@ -1409,6 +1315,42 @@ mod tests {
             total_mape < 0.10,
             "surrogate total-power MAPE {total_mape:.4} breached the committed 10% envelope"
         );
+    }
+
+    #[test]
+    fn loaded_models_match_trained_ones_on_every_verb() {
+        let exp = Experiments::fast();
+        let scope = StreamScope::Sampled(24);
+        for kind in [ModelKind::AutoPower, ModelKind::McpatCalib] {
+            let trained = exp.train_sweep_model(kind).unwrap();
+            let loaded = autopower::decode_model(&encode_model(trained.as_ref())).unwrap();
+            let loaded = SweepRequest {
+                model: ModelSource::Loaded(loaded.as_ref()),
+                ..request(scope, kind)
+            };
+            let fresh = request(scope, kind);
+
+            let stream = |request| {
+                exp.streaming_sweep(request, &StreamOptions::default())
+                    .unwrap()
+            };
+            let (a, b) = (stream(&loaded), stream(&fresh));
+            assert_eq!(a.aggregator, b.aggregator, "{kind} streaming sweep");
+            assert_eq!(a.train_configs, None);
+            assert_eq!(b.train_configs, Some(exp.settings().train_two.clone()));
+
+            let pareto = |request| {
+                exp.pareto_frontier(request, ParetoConstraints::default())
+                    .unwrap()
+                    .frontier
+            };
+            assert_eq!(pareto(&loaded), pareto(&fresh), "{kind} pareto frontier");
+
+            let table4 = |request: &SweepRequest<'_>| {
+                exp.table4_power_trace_with(request.model).unwrap().cases
+            };
+            assert_eq!(table4(&loaded), table4(&fresh), "{kind} table4");
+        }
     }
 
     #[test]

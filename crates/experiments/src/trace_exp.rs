@@ -1,7 +1,7 @@
 //! Table IV: fine-grained time-based power-trace prediction for large workloads.
 
 use crate::report::{format_table, percent};
-use crate::Experiments;
+use crate::{Experiments, ModelSource};
 use autopower::{trace_errors, AutoPowerError, ModelKind, PowerTracePredictor, TraceErrors};
 use autopower_config::{ConfigId, Workload};
 use std::fmt;
@@ -91,39 +91,37 @@ impl fmt::Display for TraceResult {
 }
 
 impl Experiments {
-    /// Table IV: trains on the two known configurations (average-power corpus only) and
-    /// predicts the 50-cycle power traces of GEMM and SPMM on the trace configurations.
+    /// Table IV: trains AutoPower on the two known configurations (average-power
+    /// corpus only) and predicts the 50-cycle power traces of GEMM and SPMM on the
+    /// trace configurations.
     ///
-    /// Shorthand for [`Experiments::table4_power_trace_model`] with
-    /// [`ModelKind::AutoPower`].
+    /// Shorthand for [`Experiments::table4_power_trace_with`] and
+    /// [`ModelSource::Train`]`(`[`ModelKind::AutoPower`]`)`.
     ///
     /// # Panics
     ///
     /// Panics if training fails.
     pub fn table4_power_trace(&self) -> TraceResult {
-        self.table4_power_trace_model(ModelKind::AutoPower)
+        self.table4_power_trace_with(ModelSource::Train(ModelKind::AutoPower))
             .expect("AutoPower training succeeds")
     }
 
-    /// Table IV under any registry model (the `--model` CLI path): trains on the two
-    /// known configurations and predicts the 50-cycle traces of the trace workloads.
+    /// Table IV under any model (the `table4` CLI verb): a registry model trained
+    /// the way the sweep trains it (`--model`), or an already trained one
+    /// (`--load-model`).  Only the trace corpus is generated for the prediction;
+    /// a loaded model's report states it was loaded instead of claiming a
+    /// training set the file does not record.
     ///
     /// # Errors
     ///
     /// Returns an error if the model fails to train.
-    pub fn table4_power_trace_model(&self, kind: ModelKind) -> Result<TraceResult, AutoPowerError> {
-        let average = self.average_corpus();
-        let train = self.settings().train_two.clone();
-        let model = kind.train(&average, &train)?;
-        Ok(self.trace_cases(model.as_ref(), Some(train)))
-    }
-
-    /// Table IV under an **already trained** model — the `--load-model` CLI
-    /// path.  Only the trace corpus is generated; the average-power training
-    /// corpus is not touched, and the report states the model was loaded
-    /// instead of claiming a training set the file does not record.
-    pub fn table4_power_trace_loaded(&self, model: &dyn autopower::PowerModel) -> TraceResult {
-        self.trace_cases(model, None)
+    pub fn table4_power_trace_with(
+        &self,
+        source: ModelSource<'_>,
+    ) -> Result<TraceResult, AutoPowerError> {
+        self.with_model(source, |model, train_configs| {
+            Ok(self.trace_cases(model, train_configs))
+        })
     }
 
     fn trace_cases(
@@ -188,7 +186,7 @@ mod tests {
     fn trace_prediction_runs_under_a_baseline_model() {
         let exp = Experiments::fast();
         let r = exp
-            .table4_power_trace_model(ModelKind::McpatCalibComponent)
+            .table4_power_trace_with(ModelSource::Train(ModelKind::McpatCalibComponent))
             .unwrap();
         assert_eq!(r.model, ModelKind::McpatCalibComponent);
         assert!(!r.cases.is_empty());

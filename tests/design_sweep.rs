@@ -3,7 +3,7 @@
 //! bit-identical results for every worker-thread count.
 
 use autopower_repro::config::{DesignSpace, Workload};
-use autopower_repro::experiments::{ExperimentSettings, Experiments};
+use autopower_repro::experiments::{ExperimentSettings, Experiments, StreamScope, SweepRequest};
 use autopower_repro::model::{AutoPower, Corpus, CorpusSpec, SweepEngine, SweepSpec};
 use proptest::prelude::*;
 use std::sync::OnceLock;
@@ -55,7 +55,12 @@ proptest! {
 #[test]
 fn fast_sweep_explores_200_generated_configs_identically_across_threads() {
     let run = |threads: usize| {
-        Experiments::new(ExperimentSettings::fast().with_threads(threads)).design_space_sweep(200)
+        Experiments::new(ExperimentSettings::fast().with_threads(threads))
+            .design_space_sweep(&SweepRequest {
+                scope: StreamScope::Sampled(200),
+                ..SweepRequest::default()
+            })
+            .unwrap()
     };
     let serial = run(1);
     assert_eq!(serial.summaries.len(), 200);
