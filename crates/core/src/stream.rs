@@ -5,7 +5,7 @@
 //! [`SweepPoint`] and sorts at the end — fine for `--count N` samples,
 //! impossible for the full enumerable [`DesignSpace`](autopower_config::DesignSpace)
 //! (hundreds of thousands to millions of points).  This module keeps the exact
-//! same scoring path (`for_each_point`, byte-for-byte the same work and order)
+//! same scoring path (the engine's one chunk driver, the same work and order)
 //! but replaces retention with **streaming aggregation**:
 //!
 //! * [`SweepAggregator`] folds each configuration's workloads through the same
@@ -239,7 +239,15 @@ impl SeriesSketch {
     }
 
     fn insert(&mut self, value: f64) {
-        // total_cmp keeps the extrema deterministic even for NaN inputs.
+        // The extrema start from the first value, not from ±inf: under
+        // total_cmp a positive NaN ranks above +inf (and a negative one below
+        // -inf), so an all-NaN series would otherwise keep an infinite
+        // extremum its quantiles never show.  total_cmp keeps the extrema
+        // deterministic for NaN inputs.
+        if self.sketch.count() == 0 {
+            self.min = value;
+            self.max = value;
+        }
         if value.total_cmp(&self.min) == Ordering::Less {
             self.min = value;
         }
@@ -1228,15 +1236,33 @@ impl SweepEngine<'_> {
     /// chunks.
     ///
     /// Pulls [`SweepSpec::chunk_configs`](crate::SweepSpec)-sized chunks from
-    /// `configs`, scores each chunk via the same
-    /// [`for_each_point`](SweepEngine::for_each_point) path as the
-    /// materializing sweep (bit-identical points, serial or parallel), and
-    /// folds every point into `aggregator`.  After each completed chunk —
-    /// with the aggregator guaranteed at a configuration boundary —
-    /// `after_chunk` is called with the aggregator and the cumulative number
-    /// of configurations this call has folded; returning `Ok(false)` stops
-    /// the sweep early (the checkpoint-interrupt hook), and an error aborts
-    /// it.
+    /// `configs`, scores each chunk through the same chunk driver as the
+    /// materializing [`for_each_point`](SweepEngine::for_each_point)
+    /// (bit-identical points, serial or parallel), and folds every point
+    /// into `aggregator`.  After each chunk — with the aggregator at a
+    /// configuration boundary — `after_chunk` is called with the aggregator
+    /// and the cumulative number of configurations this call has folded;
+    /// returning `Ok(false)` stops the sweep early (the checkpoint-interrupt
+    /// hook), and an error aborts it.
+    ///
+    /// The driver keeps one chunk of lookahead: once chunk `k` is folded it
+    /// pulls chunk `k + 1` and, on more than one thread, hands it to the
+    /// workers before calling `after_chunk` for chunk `k`, so scoring
+    /// overlaps the callback's checkpoint.  The contract:
+    ///
+    /// * `after_chunk` sees exactly the chunks folded so far — the
+    ///   aggregator, and the engine's [`audit_state`](SweepEngine::audit_state),
+    ///   hold nothing of the lookahead chunk;
+    /// * [`StreamProgress::peak_retained_points`] stays one chunk: chunk
+    ///   `k`'s points are folded and dropped before chunk `k + 1`'s exist;
+    /// * [`StreamProgress::complete`] is true iff the source is exhausted;
+    /// * on a stop, an `Err` or a panic, the lookahead chunk is discarded:
+    ///   its configurations were pulled from the source but never folded,
+    ///   and [`StreamProgress::configs_streamed`] counts folded
+    ///   configurations only.  Resume from that count, not from the source's
+    ///   position;
+    /// * no thread outlives the call, and a panic in a worker propagates to
+    ///   the caller.
     ///
     /// # Errors
     ///
@@ -1256,39 +1282,21 @@ impl SweepEngine<'_> {
                 sweep: workloads.len(),
             });
         }
-        let chunk = self.spec().chunk_configs.max(1);
-        let mut source = configs.into_iter();
-        let mut buffer: Vec<CpuConfig> = Vec::with_capacity(chunk);
-        let mut progress = StreamProgress {
-            configs_streamed: 0,
-            chunks: 0,
-            peak_retained_points: 0,
-            complete: false,
-        };
-        loop {
-            buffer.clear();
-            buffer.extend(source.by_ref().take(chunk));
-            if buffer.is_empty() {
-                progress.complete = true;
-                return Ok(progress);
-            }
-            progress.peak_retained_points = progress
-                .peak_retained_points
-                .max(buffer.len() * workloads.len());
-            self.for_each_point(&buffer, workloads, |point| aggregator.push(point));
-            debug_assert_eq!(
-                aggregator.pending_points(),
-                0,
-                "a whole chunk must leave the aggregator at a configuration boundary"
-            );
-            progress.configs_streamed += buffer.len() as u64;
-            progress.chunks += 1;
-            if !after_chunk(aggregator, progress.configs_streamed)? {
-                // Stopped early; peek whether the source happened to be done.
-                progress.complete = source.next().is_none();
-                return Ok(progress);
-            }
-        }
+        self.drive(
+            configs.into_iter(),
+            workloads,
+            None,
+            aggregator,
+            |aggregator, point| aggregator.push(point),
+            |aggregator, folded| {
+                debug_assert_eq!(
+                    aggregator.pending_points(),
+                    0,
+                    "a whole chunk must leave the aggregator at a configuration boundary"
+                );
+                after_chunk(aggregator, folded)
+            },
+        )
     }
 }
 
@@ -1386,6 +1394,21 @@ mod tests {
         assert_eq!(series.min(), Some(-50.0));
         assert_eq!(series.max(), Some(149.0));
         assert_eq!(roundtrip(&series), series);
+    }
+
+    #[test]
+    fn all_nan_series_report_nan_extrema_like_their_quantiles() {
+        let negative_nan = f64::from_bits(0xfff8_0000_0000_0001);
+        for nan in [f64::NAN, negative_nan] {
+            let mut series = SeriesSketch::new(16);
+            for _ in 0..5 {
+                series.insert(nan);
+            }
+            let bits = |v: Option<f64>| v.map(f64::to_bits);
+            assert_eq!(bits(series.min()), bits(series.quantile(0.0)));
+            assert_eq!(bits(series.max()), bits(series.quantile(1.0)));
+            assert_eq!(bits(series.min()), Some(nan.to_bits()));
+        }
     }
 
     fn summary(id: u32, total: f64, ipc: f64, epi: f64) -> ConfigSummary {
@@ -1820,6 +1843,252 @@ mod tests {
             .unwrap();
         assert!(tail.complete);
         assert_eq!(resumed, one_shot, "resumed state diverged from one-shot");
+    }
+
+    mod driver_contract {
+        use super::*;
+        use crate::features::FeatureScratch;
+        use crate::power_model::PowerModel;
+        use crate::surrogate::{surrogate_gbdt_params, ActivitySurrogate, SURROGATE_TRAIN_SEED};
+        use crate::sweep::SimBackend;
+        use autopower_perfsim::{EventParams, SimConfig};
+        use serde::codec::Writer;
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        use std::sync::OnceLock;
+
+        const WORKLOADS: [Workload; 2] = [Workload::Dhrystone, Workload::Vvadd];
+
+        /// One trained model + surrogate shared by every contract test.
+        fn fixture() -> &'static (AutoPower, ActivitySurrogate) {
+            static FIXTURE: OnceLock<(AutoPower, ActivitySurrogate)> = OnceLock::new();
+            FIXTURE.get_or_init(|| {
+                let cfgs = boom_configs();
+                let corpus =
+                    Corpus::generate(&[cfgs[0], cfgs[14]], &WORKLOADS, &CorpusSpec::fast());
+                let model =
+                    AutoPower::train(&corpus, &[ConfigId::new(1), ConfigId::new(15)]).unwrap();
+                let surrogate = ActivitySurrogate::train(
+                    &DesignSpace::boom(),
+                    &WORKLOADS,
+                    &SimConfig::fast(),
+                    24,
+                    SURROGATE_TRAIN_SEED,
+                    &surrogate_gbdt_params(),
+                )
+                .unwrap();
+                (model, surrogate)
+            })
+        }
+
+        /// A surrogate engine auditing every configuration.
+        fn engine(model: &dyn PowerModel, threads: usize, chunk: usize) -> SweepEngine<'_> {
+            let spec = SweepSpec {
+                chunk_configs: chunk,
+                ..SweepSpec::fast().threads(threads)
+            };
+            SweepEngine::new(model, spec)
+                .with_backend(SimBackend::Surrogate {
+                    surrogate: &fixture().1,
+                    audit_rate: 1.0,
+                })
+                .unwrap()
+        }
+
+        fn aggregator() -> SweepAggregator {
+            SweepAggregator::new(
+                WORKLOADS.len(),
+                &StreamSpec {
+                    top_k: 4,
+                    sketch_level_capacity: 32,
+                },
+            )
+        }
+
+        type Capture = (SweepAggregator, Option<AuditAccumulator>);
+
+        /// Streams `configs` in chunks of `chunk`, capturing the aggregator
+        /// and the audit state at every `after_chunk`; stops after
+        /// `stop_after` chunks.  Each capture waits first, like a slow
+        /// checkpoint, so parallel workers have scored the lookahead chunk
+        /// by then and any of its audits that leaked would be visible.
+        fn captured(
+            threads: usize,
+            chunk: usize,
+            configs: &[CpuConfig],
+            stop_after: u64,
+        ) -> (Vec<Capture>, StreamProgress, Option<AuditAccumulator>) {
+            let engine = engine(&fixture().0, threads, chunk);
+            let mut agg = aggregator();
+            let mut captures = Vec::new();
+            let progress = engine
+                .stream(configs.iter().copied(), &WORKLOADS, &mut agg, |agg, _| {
+                    std::thread::sleep(std::time::Duration::from_millis(40));
+                    captures.push((agg.clone(), engine.audit_state()));
+                    Ok((captures.len() as u64) < stop_after)
+                })
+                .unwrap();
+            (captures, progress, engine.audit_state())
+        }
+
+        #[test]
+        fn after_chunk_sees_exactly_the_folded_chunks_at_every_thread_count() {
+            // 3-config chunks are one run each; 20-config chunks split into
+            // several runs that the workers claim concurrently.
+            for (chunk, count, chunks) in [(3, 10, 4), (20, 45, 3)] {
+                let configs = DesignSpace::boom().sample(count, 31);
+                let (serial, progress, _) = captured(1, chunk, &configs, u64::MAX);
+                assert!(progress.complete);
+                assert_eq!(progress.chunks, chunks);
+                assert_eq!(progress.peak_retained_points, chunk * WORKLOADS.len());
+                for (agg, audit) in &serial {
+                    // Every point is audited, so an audit leaking in from
+                    // the lookahead chunk shows up as a count past the fold.
+                    let audited = audit.as_ref().unwrap().points();
+                    assert_eq!(audited, agg.configs_folded() * WORKLOADS.len() as u64);
+                }
+                for threads in [2, 8] {
+                    let (parallel, parallel_progress, _) =
+                        captured(threads, chunk, &configs, u64::MAX);
+                    assert_eq!(parallel, serial, "threads {threads}, chunk {chunk}");
+                    assert_eq!(parallel_progress, progress);
+                }
+            }
+        }
+
+        #[test]
+        fn a_stop_discards_the_lookahead_chunk_at_every_thread_count() {
+            let configs = DesignSpace::boom().sample(10, 32);
+            let (captures, progress, final_audit) = captured(1, 3, &configs, 2);
+            assert_eq!(
+                progress,
+                StreamProgress {
+                    configs_streamed: 6,
+                    chunks: 2,
+                    peak_retained_points: 3 * WORKLOADS.len(),
+                    complete: false,
+                }
+            );
+            // The third chunk was pulled (and, in parallel, scored) but never
+            // folded: the engine's audit table stops at the second chunk.
+            assert_eq!(final_audit, captures[1].1);
+            for threads in [2, 8] {
+                let (parallel, parallel_progress, parallel_audit) =
+                    captured(threads, 3, &configs, 2);
+                assert_eq!(parallel_progress, progress, "threads {threads}");
+                assert_eq!(parallel, captures);
+                assert_eq!(parallel_audit, final_audit);
+            }
+            // Stopping on the last chunk reports the exhausted source.
+            let (_, at_end, _) = captured(2, 3, &configs[..6], 2);
+            assert!(at_end.complete);
+        }
+
+        #[test]
+        fn an_after_chunk_error_is_returned_and_the_engine_streams_again() {
+            let configs = DesignSpace::boom().sample(9, 33);
+            for threads in [1, 2] {
+                let engine = engine(&fixture().0, threads, 3);
+                let mut agg = aggregator();
+                let err = engine
+                    .stream(
+                        configs.iter().copied(),
+                        &WORKLOADS,
+                        &mut agg,
+                        |_, folded| {
+                            if folded >= 3 {
+                                Err(AutoPowerError::Checkpoint("disk full".to_owned()))
+                            } else {
+                                Ok(true)
+                            }
+                        },
+                    )
+                    .unwrap_err();
+                assert_eq!(err, AutoPowerError::Checkpoint("disk full".to_owned()));
+                assert_eq!(agg.configs_folded(), 3);
+                assert_eq!(engine.audit_state().unwrap().points(), 3 * 2);
+
+                // The same engine streams the rest; with the audit carried
+                // over, the result equals a one-shot run.
+                let rest = engine
+                    .stream(
+                        configs[3..].iter().copied(),
+                        &WORKLOADS,
+                        &mut agg,
+                        |_, _| Ok(true),
+                    )
+                    .unwrap();
+                assert!(rest.complete);
+                let one_shot = engine_one_shot(&configs);
+                assert_eq!(agg, one_shot.0);
+                assert_eq!(engine.audit_state(), one_shot.1);
+            }
+        }
+
+        fn engine_one_shot(configs: &[CpuConfig]) -> Capture {
+            let engine = engine(&fixture().0, 1, 3);
+            let mut agg = aggregator();
+            engine
+                .stream(configs.iter().copied(), &WORKLOADS, &mut agg, |_, _| {
+                    Ok(true)
+                })
+                .unwrap();
+            (agg, engine.audit_state())
+        }
+
+        /// A model that panics when asked to score one configuration.
+        #[derive(Debug)]
+        struct PanicsOn {
+            inner: &'static AutoPower,
+            poison: ConfigId,
+        }
+
+        impl PowerModel for PanicsOn {
+            fn kind(&self) -> ModelKind {
+                self.inner.kind()
+            }
+
+            fn predict_with(
+                &self,
+                config: &CpuConfig,
+                events: &EventParams,
+                workload: Workload,
+                scratch: &mut FeatureScratch,
+            ) -> Prediction {
+                assert_ne!(config.id, self.poison, "injected scoring panic");
+                self.inner.predict_with(config, events, workload, scratch)
+            }
+
+            fn serialize(&self, w: &mut Writer) {
+                self.inner.serialize(w);
+            }
+        }
+
+        #[test]
+        fn a_worker_panic_propagates_instead_of_hanging() {
+            // 24-config chunks give three runs, so a second worker is busy
+            // (or waiting on the queue) when the poisoned run panics.
+            let configs = DesignSpace::boom().sample(30, 34);
+            let model = PanicsOn {
+                inner: &fixture().0,
+                poison: configs[13].id,
+            };
+            let message = |payload: Box<dyn std::any::Any + Send>| {
+                payload
+                    .downcast_ref::<String>()
+                    .cloned()
+                    .unwrap_or_default()
+            };
+            let engine = engine(&model, 2, 24);
+            let run = catch_unwind(AssertUnwindSafe(|| engine.run(&configs, &WORKLOADS)));
+            assert!(message(run.unwrap_err()).contains("injected scoring panic"));
+            let mut agg = aggregator();
+            let stream = catch_unwind(AssertUnwindSafe(|| {
+                engine.stream(configs.iter().copied(), &WORKLOADS, &mut agg, |_, _| {
+                    Ok(true)
+                })
+            }));
+            assert!(message(stream.unwrap_err()).contains("injected scoring panic"));
+        }
     }
 
     #[test]

@@ -534,6 +534,25 @@ impl AuditAccumulator {
         }
     }
 
+    /// Folds every point `other` recorded into this accumulator.  The sums
+    /// are integers, so absorbing is exact: recording points into several
+    /// accumulators and absorbing them gives the same state as recording
+    /// them all into one, in any order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the two accumulators track different event counts.
+    pub fn absorb(&mut self, other: &AuditAccumulator) {
+        assert_eq!(self.per_event.len(), other.per_event.len());
+        self.points += other.points;
+        for (slot, &(sum, n)) in self.per_event.iter_mut().zip(&other.per_event) {
+            slot.0 += sum;
+            slot.1 += n;
+        }
+        self.total.0 += other.total.0;
+        self.total.1 += other.total.1;
+    }
+
     /// Number of audited points folded so far.
     pub fn points(&self) -> u64 {
         self.points
@@ -825,6 +844,16 @@ mod tests {
             backward.record(&e, &p, et, pt);
         }
         assert_eq!(forward, backward, "accumulation order leaked into sums");
+        // Recording into separate accumulators and absorbing them is exact.
+        let mut even = AuditAccumulator::new(n);
+        let mut odd = AuditAccumulator::new(n);
+        for k in 0..50 {
+            let (e, p, et, pt) = point(k);
+            let part = if k % 2 == 0 { &mut even } else { &mut odd };
+            part.record(&e, &p, et, pt);
+        }
+        odd.absorb(&even);
+        assert_eq!(odd, forward, "absorbing split accumulators diverged");
         let report = forward.report();
         assert_eq!(report.audited_points, 50);
         for event in &report.per_event {

@@ -10,13 +10,19 @@
 //! synthesized and never power-simulated — under any [`PowerModel`]
 //! implementation, not just [`AutoPower`].
 //!
-//! The engine shards the `configs × workloads` cross product into bounded
-//! chunks and runs each chunk through the same `parallel_map` substrate the
-//! corpus pipeline uses.  Each job simulates one pair, predicts its power, and
-//! keeps only a compact [`SweepPoint`] — the heavyweight simulation state dies
-//! with the job, so memory stays flat no matter how many configurations are
-//! swept.  Results are collected in input order, making the sweep bit-identical
-//! for every worker-thread count.
+//! The engine cuts its configuration source into bounded chunks and scores
+//! them through one chunk driver, shared by the materializing
+//! [`SweepEngine::run`] and the streaming
+//! [`SweepEngine::stream`](crate::stream).  A parallel call spawns its
+//! workers once; each worker keeps one scratch (pipeline machine, replay
+//! streams, batch buffers) for the whole call and claims short runs of the
+//! current chunk from a queue.  The driver keeps one chunk of lookahead:
+//! while the calling thread runs the per-chunk callback (a checkpoint, say),
+//! the workers already score the next chunk.  Only compact [`SweepPoint`]s
+//! leave a worker, and at most one chunk of them exists at a time, so memory
+//! stays flat no matter how many configurations are swept.  Points are folded
+//! in input order, making the sweep bit-identical for every worker-thread
+//! count.
 //!
 //! Two optimizations make sweep-side simulation run at prediction-like cost,
 //! both provably exact:
@@ -48,6 +54,7 @@ use crate::model::AutoPower;
 use crate::pipeline::parallel_map_with;
 use crate::power_model::{PowerModel, PredictInput};
 use crate::prediction::Prediction;
+use crate::stream::StreamProgress;
 use crate::surrogate::{audit_selected, ActivitySurrogate, AuditAccumulator, AuditReport};
 use autopower_config::{CpuConfig, Workload};
 use autopower_ml::Matrix;
@@ -56,7 +63,17 @@ use autopower_perfsim::{
     SimScratch,
 };
 use autopower_powersim::PowerGroups;
+use std::any::Any;
+use std::convert::Infallible;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Mutex;
+
+/// Configurations per run: the unit of work a parallel worker claims from
+/// the current chunk.  Short runs keep both workers busy to the end of a
+/// chunk even when its audit simulations cluster in one part of it.
+const RUN_CONFIGS: usize = 8;
 
 /// Knobs of a design-space sweep.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -64,11 +81,12 @@ pub struct SweepSpec {
     /// Performance-simulation settings used to obtain each point's event
     /// parameters.
     pub sim: SimConfig,
-    /// Worker threads per shard: `0` (the default) uses one worker per
-    /// available core, `1` runs serially.  The predictions are bit-identical
-    /// for every value.
+    /// Worker threads of a sweep: `0` (the default) uses one worker per
+    /// available core, `1` runs serially on the calling thread.  The
+    /// predictions are bit-identical for every value.
     pub threads: usize,
-    /// Configurations per shard; bounds peak memory and work-queue length.
+    /// Configurations per chunk; bounds peak memory (one chunk of points
+    /// exists at a time) and sets how often a streaming sweep calls back.
     pub chunk_configs: usize,
     /// Whether to memoize simulation results across the sweep.  Two
     /// configurations differing only along simulation-invisible axes then
@@ -215,6 +233,10 @@ struct ChunkScratch {
     raw_batch: Vec<f64>,
     /// Per-ensemble output scratch of the batched surrogate prediction.
     forest_out: Vec<f64>,
+    /// Audits recorded by this scratch since the driver last collected
+    /// them; the driver folds them into the engine's table together with
+    /// the points they came from.
+    audit: AuditAccumulator,
 }
 
 impl ChunkScratch {
@@ -228,7 +250,82 @@ impl ChunkScratch {
             raw_all: Vec::new(),
             raw_batch: Vec::new(),
             forest_out: Vec::new(),
+            audit: AuditAccumulator::new(EventParams::names().len()),
         }
+    }
+
+    /// The audits recorded since the last call, `None` when there were none.
+    fn take_audit(&mut self) -> Option<AuditAccumulator> {
+        (self.audit.points() > 0).then(|| {
+            std::mem::replace(
+                &mut self.audit,
+                AuditAccumulator::new(EventParams::names().len()),
+            )
+        })
+    }
+}
+
+/// One run of a chunk, queued for the parallel workers.
+struct Job {
+    /// Position of the run within its chunk.
+    run: usize,
+    configs: Vec<CpuConfig>,
+}
+
+/// The points of one scored run and the audits recorded while scoring it.
+struct Scored {
+    points: Vec<SweepPoint>,
+    audit: Option<AuditAccumulator>,
+}
+
+/// A worker's answer for one run: what it scored, or the payload of the
+/// panic scoring it raised.
+struct Done {
+    run: usize,
+    scored: Result<Scored, Box<dyn Any + Send>>,
+}
+
+/// How the chunk driver scores a chunk.
+enum Scorer<'a> {
+    /// On the calling thread, one batch per chunk.
+    Inline(&'a mut ChunkScratch),
+    /// On spawned workers, one job per run.
+    Workers(Pool<'a>),
+}
+
+/// The calling thread's end of the parallel workers.
+struct Pool<'a> {
+    jobs: Sender<Job>,
+    results: Receiver<Done>,
+    /// Set when the pool is dropped: workers skip the runs still queued.
+    cancelled: &'a AtomicBool,
+    /// One slot per run of the chunk in flight, filled as runs come back.
+    slots: Vec<Option<Scored>>,
+}
+
+impl Scorer<'_> {
+    /// Hands a pulled chunk to the workers (the inline scorer scores it when
+    /// it is folded).
+    fn submit(&mut self, configs: &[CpuConfig]) {
+        if let Scorer::Workers(pool) = self {
+            pool.slots.clear();
+            for (run, configs) in configs.chunks(RUN_CONFIGS).enumerate() {
+                let job = Job {
+                    run,
+                    configs: configs.to_vec(),
+                };
+                pool.jobs
+                    .send(job)
+                    .expect("the run queue outlives the pool");
+                pool.slots.push(None);
+            }
+        }
+    }
+}
+
+impl Drop for Pool<'_> {
+    fn drop(&mut self) {
+        self.cancelled.store(true, Ordering::Relaxed);
     }
 }
 
@@ -316,9 +413,11 @@ pub struct SweepEngine<'a> {
     spec: SweepSpec,
     cache: SimCache,
     backend: SimBackend<'a>,
-    /// Audit-error accumulation of the surrogate backend.  Integer
-    /// (fixed-point) sums make the fold order-independent, so the report is
-    /// bit-identical for every thread count despite the shared lock.
+    /// Audit-error accumulation of the surrogate backend.  Only the calling
+    /// thread of a sweep writes it, absorbing each run's audits when it folds
+    /// that run's points, so it always covers exactly the folded points.
+    /// Integer (fixed-point) sums make the fold order-independent, so the
+    /// report is bit-identical for every thread count and run length.
     audit: Mutex<AuditAccumulator>,
 }
 
@@ -434,6 +533,7 @@ impl<'a> SweepEngine<'a> {
             raw_all,
             raw_batch,
             forest_out,
+            audit,
         } = scratch;
         events.resize(n, EventParams::empty());
         ipcs.clear();
@@ -566,16 +666,17 @@ impl<'a> SweepEngine<'a> {
             .predict_batch_with(&inputs, &mut point.features, predictions);
         drop(inputs);
 
-        // Phase 3: error-bound accounting, then emission in input order.
-        // The audit accumulator is an order-independent integer fold, so
-        // recording chunk-grouped instead of point-interleaved cannot change
-        // the report.
+        // Phase 3: error-bound accounting into the scratch's own
+        // accumulator (the driver absorbs it into the engine's when it folds
+        // these points), then emission in input order.  The accumulator is
+        // an order-independent integer fold, so recording chunk-grouped
+        // instead of point-interleaved cannot change the report.
         let shadows = predictions.split_off(n);
-        for (audit, shadow) in audits.iter().zip(&shadows) {
-            self.audit.lock().unwrap().record(
-                &audit.exact_raw,
-                &audit.surrogate_raw,
-                predictions[audit.index].total(),
+        for (point_audit, shadow) in audits.iter().zip(&shadows) {
+            audit.record(
+                &point_audit.exact_raw,
+                &point_audit.surrogate_raw,
+                predictions[point_audit.index].total(),
                 shadow.total(),
             );
         }
@@ -593,50 +694,21 @@ impl<'a> SweepEngine<'a> {
     /// configuration-major, in deterministic input order — without retaining
     /// any point itself.
     ///
-    /// This is the primitive under both the materializing [`SweepEngine::run`]
-    /// (whose sink is `Vec::push`) and the bounded-memory streaming sweep
+    /// This is the materializing [`SweepEngine::run`]'s primitive (its sink
+    /// is `Vec::push`), and it runs through the same chunk driver as the
+    /// bounded-memory streaming sweep
     /// ([`SweepEngine::stream`](crate::stream)): the scoring work, the worker
-    /// scratch reuse and the emission order are byte-for-byte the same, so the
-    /// two paths cannot drift apart.  Parallel scoring still shards `configs`
-    /// into [`SweepSpec::chunk_configs`]-sized chunks; only one chunk of
-    /// points is ever in flight.
+    /// scratch reuse and the emission order are the same, so the two paths
+    /// cannot drift apart.  A parallel call spawns its workers once, each
+    /// holding one scratch for the whole call, and only one chunk of points
+    /// is ever in flight.
     pub fn for_each_point(
         &self,
         configs: &[CpuConfig],
         workloads: &[Workload],
-        mut sink: impl FnMut(SweepPoint),
+        sink: impl FnMut(SweepPoint),
     ) {
-        let threads = self.spec.effective_threads();
-        let per_config = workloads.len();
-        let cache = self.spec.use_sim_cache.then_some(&self.cache);
-        let chunk = self.spec.chunk_configs.max(1);
-        if threads <= 1 {
-            // Serial fast path: one scratch for the whole sweep, so replay
-            // streams, pipeline state and batch buffers are materialized once
-            // instead of once per shard.  Scoring order — and therefore
-            // output — is identical to the sharded path.
-            let mut scratch = EngineScratch::new();
-            self.for_each_point_with(configs, workloads, &mut scratch, sink);
-            return;
-        }
-        for shard in configs.chunks(chunk) {
-            // Each worker owns one ChunkScratch for its whole lifetime and
-            // claims contiguous runs of configurations, scoring each run as
-            // one forest-major batch.  Results are collected in input order,
-            // so the emission — like the scoring itself — is bit-identical
-            // to the serial path.
-            let run = shard.len().div_ceil(threads).max(1);
-            let runs: Vec<&[CpuConfig]> = shard.chunks(run).collect();
-            for points in parallel_map_with(threads, runs.len(), ChunkScratch::new, |scratch, k| {
-                let mut out = Vec::with_capacity(runs[k].len() * per_config);
-                self.score_chunk(cache, runs[k], workloads, scratch, |p| out.push(p));
-                out
-            }) {
-                for point in points {
-                    sink(point);
-                }
-            }
-        }
+        self.emit(configs, workloads, None, sink);
     }
 
     /// [`SweepEngine::for_each_point`] scoring serially through a
@@ -653,12 +725,221 @@ impl<'a> SweepEngine<'a> {
         configs: &[CpuConfig],
         workloads: &[Workload],
         scratch: &mut EngineScratch,
+        sink: impl FnMut(SweepPoint),
+    ) {
+        self.emit(configs, workloads, Some(scratch), sink);
+    }
+
+    /// Drives `configs` through `sink` without a per-chunk callback.
+    fn emit(
+        &self,
+        configs: &[CpuConfig],
+        workloads: &[Workload],
+        scratch: Option<&mut EngineScratch>,
         mut sink: impl FnMut(SweepPoint),
     ) {
+        self.drive(
+            configs.iter().copied(),
+            workloads,
+            scratch,
+            &mut sink,
+            |sink, point| sink(point),
+            |_, _| Ok::<_, Infallible>(true),
+        )
+        .unwrap_or_else(|never| match never {});
+    }
+
+    /// The chunk driver behind every sweep verb: pulls
+    /// [`SweepSpec::chunk_configs`]-sized chunks from `source`, scores them,
+    /// folds every point into `state` through `fold` in input order, and
+    /// after each chunk calls `after_chunk` with `state` and the number of
+    /// configurations folded so far.  `Ok(false)` from `after_chunk` stops
+    /// the sweep and an error aborts it.
+    ///
+    /// The driver keeps one chunk of lookahead: after folding chunk `k` it
+    /// pulls chunk `k + 1` and hands it to the scorer, and only then calls
+    /// `after_chunk` for chunk `k`, so parallel workers score while the
+    /// callback runs.  The contract is documented on
+    /// [`SweepEngine::stream`](crate::stream).
+    pub(crate) fn drive<S, E>(
+        &self,
+        mut source: impl Iterator<Item = CpuConfig>,
+        workloads: &[Workload],
+        scratch: Option<&mut EngineScratch>,
+        state: &mut S,
+        mut fold: impl FnMut(&mut S, SweepPoint),
+        mut after_chunk: impl FnMut(&S, u64) -> Result<bool, E>,
+    ) -> Result<StreamProgress, E> {
+        let size = self.spec.chunk_configs.max(1);
         let cache = self.spec.use_sim_cache.then_some(&self.cache);
-        let chunk = self.spec.chunk_configs.max(1);
-        for shard in configs.chunks(chunk) {
-            self.score_chunk(cache, shard, workloads, &mut scratch.0, &mut sink);
+        let mut chunk: Vec<CpuConfig> = source.by_ref().take(size).collect();
+        // Serial (no workers) when the caller owns the scratch or the sweep
+        // has one thread.  A short first chunk means a short source: never
+        // spawn more workers than it has runs.
+        let threads = match scratch {
+            Some(_) => 1,
+            None => self.spec.effective_threads(),
+        };
+        let workers = match threads {
+            0 | 1 => 0,
+            _ => threads.min(chunk.len().div_ceil(RUN_CONFIGS)),
+        };
+        self.with_scorer(cache, workloads, scratch, workers, |scorer| {
+            let mut progress = StreamProgress {
+                configs_streamed: 0,
+                chunks: 0,
+                peak_retained_points: 0,
+                complete: false,
+            };
+            scorer.submit(&chunk);
+            while !chunk.is_empty() {
+                progress.peak_retained_points = progress
+                    .peak_retained_points
+                    .max(chunk.len() * workloads.len());
+                self.fold_chunk(scorer, cache, &chunk, workloads, &mut |point| {
+                    fold(state, point)
+                });
+                progress.configs_streamed += chunk.len() as u64;
+                progress.chunks += 1;
+                chunk.clear();
+                chunk.extend(source.by_ref().take(size));
+                scorer.submit(&chunk);
+                if !after_chunk(state, progress.configs_streamed)? {
+                    progress.complete = chunk.is_empty();
+                    return Ok(progress);
+                }
+            }
+            progress.complete = true;
+            Ok(progress)
+        })
+    }
+
+    /// Runs `body` with a scorer: inline on the calling thread (through the
+    /// caller's `scratch` if given) when `workers` is zero, otherwise on
+    /// `workers` scoped threads spawned for this call only, each keeping one
+    /// [`ChunkScratch`] until `body` returns.
+    fn with_scorer<R>(
+        &self,
+        cache: Option<&SimCache>,
+        workloads: &[Workload],
+        scratch: Option<&mut EngineScratch>,
+        workers: usize,
+        body: impl FnOnce(&mut Scorer<'_>) -> R,
+    ) -> R {
+        if workers == 0 {
+            let mut own = None;
+            let scratch = match scratch {
+                Some(scratch) => &mut scratch.0,
+                None => own.insert(ChunkScratch::new()),
+            };
+            return body(&mut Scorer::Inline(scratch));
+        }
+        let cancelled = AtomicBool::new(false);
+        let (jobs, queue) = channel();
+        let queue = Mutex::new(queue);
+        std::thread::scope(|scope| {
+            let (done, results) = channel();
+            for _ in 0..workers {
+                let done = done.clone();
+                let (queue, cancelled) = (&queue, &cancelled);
+                scope.spawn(move || self.work(cache, workloads, queue, cancelled, done));
+            }
+            drop(done);
+            // Dropping the pool (on return, error or panic) cancels the
+            // queued runs and closes the queue, so every worker exits and the
+            // scope can join them.
+            body(&mut Scorer::Workers(Pool {
+                jobs,
+                results,
+                cancelled: &cancelled,
+                slots: Vec::new(),
+            }))
+        })
+    }
+
+    /// Scores `configs` (inline) or collects the workers' runs of it, and
+    /// folds its points into `sink` in input order together with their
+    /// audits.
+    fn fold_chunk(
+        &self,
+        scorer: &mut Scorer<'_>,
+        cache: Option<&SimCache>,
+        configs: &[CpuConfig],
+        workloads: &[Workload],
+        sink: &mut impl FnMut(SweepPoint),
+    ) {
+        match scorer {
+            Scorer::Inline(scratch) => {
+                self.score_chunk(cache, configs, workloads, scratch, &mut *sink);
+                self.absorb(scratch.take_audit());
+            }
+            Scorer::Workers(pool) => {
+                let mut next = 0;
+                while next < pool.slots.len() {
+                    let Done { run, scored } = pool
+                        .results
+                        .recv()
+                        .expect("a worker stays alive while it owes a run");
+                    pool.slots[run] = Some(scored.unwrap_or_else(|panic| resume_unwind(panic)));
+                    while let Some(Scored { points, audit }) =
+                        pool.slots.get_mut(next).and_then(Option::take)
+                    {
+                        points.into_iter().for_each(&mut *sink);
+                        self.absorb(audit);
+                        next += 1;
+                    }
+                }
+            }
+        }
+    }
+
+    /// One parallel worker: scores the runs it claims from `queue` with one
+    /// scratch until the queue closes.  A panic while scoring is caught and
+    /// sent to the calling thread, which re-raises it.
+    fn work(
+        &self,
+        cache: Option<&SimCache>,
+        workloads: &[Workload],
+        queue: &Mutex<Receiver<Job>>,
+        cancelled: &AtomicBool,
+        done: Sender<Done>,
+    ) {
+        let mut scratch = ChunkScratch::new();
+        loop {
+            let Ok(job) = queue.lock().expect("run queue lock poisoned").recv() else {
+                return;
+            };
+            if cancelled.load(Ordering::Relaxed) {
+                continue;
+            }
+            let scored = catch_unwind(AssertUnwindSafe(|| {
+                let mut points = Vec::with_capacity(job.configs.len() * workloads.len());
+                self.score_chunk(cache, &job.configs, workloads, &mut scratch, |point| {
+                    points.push(point)
+                });
+                Scored {
+                    points,
+                    audit: scratch.take_audit(),
+                }
+            }));
+            let panicked = scored.is_err();
+            if done
+                .send(Done {
+                    run: job.run,
+                    scored,
+                })
+                .is_err()
+                || panicked
+            {
+                return;
+            }
+        }
+    }
+
+    /// Folds one scored run's audits into the engine's table.
+    fn absorb(&self, audit: Option<AuditAccumulator>) {
+        if let Some(audit) = audit {
+            self.audit.lock().unwrap().absorb(&audit);
         }
     }
 
@@ -971,7 +1252,7 @@ mod tests {
     #[test]
     fn sweep_is_bit_identical_across_thread_counts_and_chunking() {
         let model = trained_model();
-        let configs = DesignSpace::boom().sample(6, 3);
+        let configs = DesignSpace::boom().sample(20, 3);
         let workloads = [Workload::Dhrystone, Workload::Vvadd];
         let serial = SweepEngine::new(
             &model,
@@ -981,9 +1262,26 @@ mod tests {
             },
         )
         .run(&configs, &workloads);
-        let parallel =
-            SweepEngine::new(&model, SweepSpec::fast().threads(8)).run(&configs, &workloads);
-        assert_eq!(serial, parallel);
+        // Chunks of one run, of several runs (8 + 8 + 4 configurations) and
+        // uneven chunk tails, each through the materializing and the
+        // caller-scratch path on every thread count.
+        for threads in [1, 2, 8] {
+            for chunk_configs in [1, 3, 64] {
+                let spec = SweepSpec {
+                    chunk_configs,
+                    ..SweepSpec::fast().threads(threads)
+                };
+                let engine = SweepEngine::new(&model, spec);
+                assert_eq!(
+                    engine.run(&configs, &workloads),
+                    serial,
+                    "threads {threads}, chunk {chunk_configs}"
+                );
+                let mut out = Vec::new();
+                engine.run_with(&configs, &workloads, &mut EngineScratch::new(), &mut out);
+                assert_eq!(out, serial);
+            }
+        }
     }
 
     #[test]
