@@ -370,6 +370,14 @@ impl Codec for ClockPowerModel {
 }
 
 #[cfg(test)]
+impl ClockPowerModel {
+    /// Every boosted sub-model, component by component.
+    pub(crate) fn boosted(&self) -> impl Iterator<Item = &GradientBoosting> {
+        self.per_component.iter().map(|c| &c.falpha)
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use crate::dataset::CorpusSpec;

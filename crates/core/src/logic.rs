@@ -384,6 +384,16 @@ impl Codec for LogicPowerModel {
 }
 
 #[cfg(test)]
+impl LogicPowerModel {
+    /// Every boosted sub-model, component by component.
+    pub(crate) fn boosted(&self) -> impl Iterator<Item = &GradientBoosting> {
+        self.per_component
+            .iter()
+            .flat_map(|c| [&c.reg_activity, &c.comb_variation])
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use crate::dataset::CorpusSpec;

@@ -250,6 +250,27 @@ mod tests {
     }
 
     #[test]
+    fn every_few_shot_forest_is_scored_from_a_region_table() {
+        let model = AutoPower::train(&corpus(), &[ConfigId::new(1), ConfigId::new(15)]).unwrap();
+        let forests: Vec<_> = model
+            .clock
+            .boosted()
+            .chain(model.sram.boosted())
+            .chain(model.logic.boosted())
+            .map(autopower_ml::GradientBoosting::forest)
+            .collect();
+        assert!(forests.len() > 50, "{} forests", forests.len());
+        for (i, forest) in forests.iter().enumerate() {
+            let cells = forest.region_cells();
+            assert!(
+                cells.is_some(),
+                "forest {i} ({} shapes) has no table",
+                forest.shape_count()
+            );
+        }
+    }
+
+    #[test]
     fn few_shot_training_predicts_unseen_configs_accurately() {
         let c = corpus();
         let train = [ConfigId::new(1), ConfigId::new(15)];

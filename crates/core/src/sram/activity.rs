@@ -174,6 +174,14 @@ impl Codec for SramActivityModel {
 }
 
 #[cfg(test)]
+impl SramActivityModel {
+    /// The read and write frequency models.
+    pub(crate) fn boosted(&self) -> [&GradientBoosting; 2] {
+        [&self.read_model, &self.write_model]
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use crate::dataset::CorpusSpec;

@@ -435,6 +435,14 @@ impl Codec for SramPowerModel {
 }
 
 #[cfg(test)]
+impl SramPowerModel {
+    /// Every boosted sub-model, position by position.
+    pub(crate) fn boosted(&self) -> impl Iterator<Item = &autopower_ml::GradientBoosting> {
+        self.positions.iter().flat_map(|p| p.activity.boosted())
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use crate::dataset::CorpusSpec;

@@ -1004,87 +1004,51 @@ pub fn sweep_multi_with_stats(
     configs: &[CpuConfig],
     workloads: &[Workload],
 ) -> (Vec<Vec<SweepPoint>>, SimCacheStats) {
-    let threads = spec.effective_threads();
     let per_config = workloads.len();
-    let chunk = spec.chunk_configs.max(1);
     let cache = SimCache::new();
     let cache_ref = spec.use_sim_cache.then_some(&cache);
+    // One pool (or, at one thread, one inline pass) over every pair: each
+    // worker keeps one scratch for the whole sweep.
+    let per_pair = parallel_map_with(
+        spec.effective_threads(),
+        configs.len() * per_config,
+        SweepScratch::new,
+        |scratch, i| {
+            let config = configs[i / per_config];
+            let workload = workloads[i % per_config];
+            let counters =
+                simulated_counters(cache_ref, &config, workload, &spec.sim, &mut scratch.sim);
+            EventParams::from_counters_into(
+                &counters,
+                config.id,
+                workload,
+                spec.sim.event_distortion,
+                &mut scratch.events,
+            );
+            let ipc = counters.ipc();
+            models
+                .iter()
+                .map(|model| SweepPoint {
+                    config,
+                    workload,
+                    power: model.predict_with(
+                        &config,
+                        &scratch.events,
+                        workload,
+                        &mut scratch.features,
+                    ),
+                    ipc,
+                })
+                .collect::<Vec<_>>()
+        },
+    );
     let mut results: Vec<Vec<SweepPoint>> = models
         .iter()
-        .map(|_| Vec::with_capacity(configs.len() * per_config))
+        .map(|_| Vec::with_capacity(per_pair.len()))
         .collect();
-    if threads <= 1 {
-        // Serial fast path mirroring SweepEngine::run: one scratch for the
-        // whole sweep, identical scoring order.
-        let mut scratch = SweepScratch::new();
-        for config in configs {
-            for &workload in workloads {
-                let counters =
-                    simulated_counters(cache_ref, config, workload, &spec.sim, &mut scratch.sim);
-                EventParams::from_counters_into(
-                    &counters,
-                    config.id,
-                    workload,
-                    spec.sim.event_distortion,
-                    &mut scratch.events,
-                );
-                let ipc = counters.ipc();
-                for (model, slot) in models.iter().zip(results.iter_mut()) {
-                    slot.push(SweepPoint {
-                        config: *config,
-                        workload,
-                        power: model.predict_with(
-                            config,
-                            &scratch.events,
-                            workload,
-                            &mut scratch.features,
-                        ),
-                        ipc,
-                    });
-                }
-            }
-        }
-        let stats = cache.stats();
-        return (results, stats);
-    }
-    for shard in configs.chunks(chunk) {
-        let shard_points = parallel_map_with(
-            threads,
-            shard.len() * per_config,
-            SweepScratch::new,
-            |scratch, i| {
-                let config = shard[i / per_config];
-                let workload = workloads[i % per_config];
-                let counters =
-                    simulated_counters(cache_ref, &config, workload, &spec.sim, &mut scratch.sim);
-                EventParams::from_counters_into(
-                    &counters,
-                    config.id,
-                    workload,
-                    spec.sim.event_distortion,
-                    &mut scratch.events,
-                );
-                let ipc = counters.ipc();
-                models
-                    .iter()
-                    .map(|model| SweepPoint {
-                        config,
-                        workload,
-                        power: model.predict_with(
-                            &config,
-                            &scratch.events,
-                            workload,
-                            &mut scratch.features,
-                        ),
-                        ipc,
-                    })
-                    .collect::<Vec<_>>()
-            },
-        );
-        for per_model in shard_points {
-            for (slot, point) in results.iter_mut().zip(per_model) {
-                slot.push(point);
-            }
+    for per_model in per_pair {
+        for (slot, point) in results.iter_mut().zip(per_model) {
+            slot.push(point);
         }
     }
     let stats = cache.stats();
@@ -1361,12 +1325,14 @@ mod tests {
         let refs: Vec<&dyn PowerModel> = models.iter().map(|m| m.as_ref()).collect();
         let configs = DesignSpace::boom().sample(4, 9);
         let workloads = [Workload::Dhrystone, Workload::Qsort];
-        let spec = SweepSpec::fast().threads(2);
-        let multi = sweep_multi(&refs, &spec, &configs, &workloads);
-        assert_eq!(multi.len(), refs.len());
-        for (model, points) in refs.iter().zip(&multi) {
-            let solo = SweepEngine::new(*model, spec).run(&configs, &workloads);
-            assert_eq!(&solo, points);
+        for threads in [1, 2] {
+            let spec = SweepSpec::fast().threads(threads);
+            let multi = sweep_multi(&refs, &spec, &configs, &workloads);
+            assert_eq!(multi.len(), refs.len());
+            for (model, points) in refs.iter().zip(&multi) {
+                let solo = SweepEngine::new(*model, spec).run(&configs, &workloads);
+                assert_eq!(&solo, points, "threads {threads}");
+            }
         }
     }
 

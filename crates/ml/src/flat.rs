@@ -34,6 +34,38 @@
 //! [`all_leaves_zero`]), which is also a bitwise no-op.  The parity
 //! proptests below and `tests/training_parity.rs` pin all of this against
 //! [`GradientBoosting::predict_recursive`](crate::GradientBoosting::predict_recursive).
+//!
+//! # Region tables
+//!
+//! A forest's prediction is piecewise constant: it depends on a row only
+//! through which side of each split threshold every used feature falls.
+//! With feature `f`'s distinct thresholds sorted as `t_0 < … < t_{k-1}`,
+//! the row's interval index on `f` is the number of thresholds `t` with
+//! `!(x_f <= t)`; it picks one of the `k_f + 1` intervals `(-∞, t_0]`,
+//! `(t_0, t_1]`, …, `(t_{k-1}, +∞)`.  The intervals of all used features
+//! form a grid of `Π (k_f + 1)` cells, and every row in one cell reaches
+//! the same leaf in every tree.  Few-shot fits (the power sub-models train
+//! on six rows) pick among a handful of thresholds, so their grids are
+//! small: the fast-trained AutoPower model's 104 forests hold 4,287 cells
+//! in all.  [`FlatForest::compile`] therefore tabulates each forest whose
+//! grid has at most [`MAX_REGION_CELLS`] cells, and scoring a row becomes
+//! one branch-free threshold count per used feature plus one `f64` load.
+//! Larger grids (the surrogate's forests, fitted on many rows) keep the
+//! shape walk.
+//!
+//! Each cell's entry is the shape walk's own result on one representative
+//! row of the cell, so its bits are the walk's by construction:
+//!
+//! * interval `i < k` is represented by `x_f = t_i`, which meets every split
+//!   `x_f <= t_j` exactly as any row of `(t_{i-1}, t_i]` does;
+//! * the last interval is represented by NaN, which goes right at every
+//!   split exactly as any `x_f > t_{k-1}` does — and a NaN feature in a
+//!   scored row counts `k` thresholds, so it lands in that same cell;
+//! * thresholds are deduplicated by value, so `-0.0` and `+0.0` share one
+//!   interval boundary: `x <= -0.0` and `x <= +0.0` agree for every `x`.
+//!
+//! Features no split reads are `0.0` in the representative rows; only the
+//! always-left padding splits (see [`push_node`]) read them.
 
 use crate::matrix::Matrix;
 use crate::tree::{Node, RegressionTree};
@@ -117,6 +149,60 @@ thread_local! {
     static SLOTS: RefCell<Vec<u32>> = const { RefCell::new(Vec::new()) };
 }
 
+/// Most cells a [`RegionTable`] may hold (32 KiB of `f64`).  Forests with a
+/// larger threshold grid keep the shape walk.
+const MAX_REGION_CELLS: usize = 4096;
+
+/// One used feature's axis of a [`RegionTable`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Axis {
+    /// The feature the axis reads.
+    feature: u32,
+    /// This feature's sorted, value-distinct thresholds:
+    /// `RegionTable::thresholds[start..end]`.
+    start: u32,
+    end: u32,
+    /// Cell-index step of one interval along this axis.
+    stride: u32,
+}
+
+/// A forest tabulated over its threshold grid (see the module docs).
+#[derive(Debug, Clone, Default, PartialEq)]
+struct RegionTable {
+    /// Used features in ascending order; the first axis varies fastest.
+    axes: Vec<Axis>,
+    /// Every axis's thresholds, axis after axis.
+    thresholds: Vec<f64>,
+    /// The prediction of every cell, indexed by the mixed-radix sum of the
+    /// row's interval indices.
+    cells: Vec<f64>,
+}
+
+impl RegionTable {
+    /// The thresholds of `axis`.
+    fn thresholds(&self, axis: &Axis) -> &[f64] {
+        &self.thresholds[axis.start as usize..axis.end as usize]
+    }
+
+    /// Looks up the cell `x` falls in.  A feature's interval index is the
+    /// count of its thresholds `t` with `!(x_f <= t)`: the ones strictly
+    /// below `x_f`, or all of them for NaN.
+    #[inline]
+    fn lookup(&self, x: &[f64]) -> f64 {
+        let mut cell = 0;
+        for axis in &self.axes {
+            let value = x[axis.feature as usize];
+            let interval: usize = self
+                .thresholds(axis)
+                .iter()
+                .map(|&t| 1 - usize::from(value <= t))
+                .sum();
+            cell += interval * axis.stride as usize;
+        }
+        self.cells[cell]
+    }
+}
+
 /// A boosted ensemble compiled for shape-shared, allocation-light inference.
 ///
 /// Compiled by [`GradientBoosting`](crate::GradientBoosting) at fit and decode
@@ -138,6 +224,9 @@ pub struct FlatForest {
     /// Depth of the deepest tree (0 = every tree is a bare leaf): the fixed
     /// step count of every shape walk.
     depth: u32,
+    /// The forest tabulated over its threshold grid, when the grid has at
+    /// most [`MAX_REGION_CELLS`] cells; scoring then skips the shape walk.
+    regions: Option<RegionTable>,
 }
 
 impl FlatForest {
@@ -160,10 +249,11 @@ impl FlatForest {
             ..Self::default()
         };
         let mut known: HashMap<Vec<u64>, u32> = HashMap::new();
-        let (mut shape, mut key) = (Vec::new(), Vec::new());
+        let (mut shape, mut key, mut splits) = (Vec::new(), Vec::new(), Vec::new());
         for root in live {
             shape.clear();
             let leaves = index(forest.leaves.len());
+            let known_splits = splits.len();
             let mut slots = 0;
             push_node(
                 root,
@@ -172,11 +262,16 @@ impl FlatForest {
                 &mut shape,
                 &mut slots,
                 &mut forest.leaves,
+                &mut splits,
             );
             key.clear();
             key.extend(shape.iter().flat_map(|node| node.key()));
             let shape_id = match known.get(key.as_slice()) {
-                Some(&id) => id,
+                Some(&id) => {
+                    // The shape's splits are already recorded.
+                    splits.truncate(known_splits);
+                    id
+                }
                 None => {
                     let id = index(forest.shapes.len());
                     let base = index(forest.nodes.len());
@@ -199,7 +294,55 @@ impl FlatForest {
                 leaves,
             });
         }
+        forest.regions = forest.region_table(splits);
         forest
+    }
+
+    /// Tabulates the compiled forest over the grid of its split thresholds
+    /// (`splits` holds every distinct shape's split features and
+    /// thresholds), or `None` when the grid has more than
+    /// [`MAX_REGION_CELLS`] cells.
+    fn region_table(&self, mut splits: Vec<(u32, f64)>) -> Option<RegionTable> {
+        // A NaN threshold sends every row right; no representative row could
+        // stand for an interval below it.  Training never produces one.
+        if splits.iter().any(|(_, t)| t.is_nan()) {
+            return None;
+        }
+        splits.sort_unstable_by(|a, b| a.0.cmp(&b.0).then(a.1.total_cmp(&b.1)));
+        // `==` merges `-0.0` and `+0.0`: every split routes them alike.
+        splits.dedup_by(|a, b| a == b);
+        let mut table = RegionTable::default();
+        let mut cells = 1;
+        for axis in splits.chunk_by(|a, b| a.0 == b.0) {
+            let start = index(table.thresholds.len());
+            table.thresholds.extend(axis.iter().map(|&(_, t)| t));
+            table.axes.push(Axis {
+                feature: axis[0].0,
+                start,
+                end: index(table.thresholds.len()),
+                stride: index(cells),
+            });
+            cells = (axis.len() + 1)
+                .checked_mul(cells)
+                .filter(|&cells| cells <= MAX_REGION_CELLS)?;
+        }
+        // One representative row per cell.  Padding splits read feature 0,
+        // so a row has at least one entry.
+        let width = table
+            .axes
+            .last()
+            .map_or(1, |axis| axis.feature as usize + 1);
+        let mut rows = vec![0.0; cells * width];
+        for (cell, row) in rows.chunks_exact_mut(width).enumerate() {
+            for axis in &table.axes {
+                let thresholds = table.thresholds(axis);
+                let interval = cell / axis.stride as usize % (thresholds.len() + 1);
+                row[axis.feature as usize] = thresholds.get(interval).copied().unwrap_or(f64::NAN);
+            }
+        }
+        // `self` has no table yet, so this scores the rows by the shape walk.
+        self.predict_into(&Matrix::from_flat(cells, width, rows), &mut table.cells);
+        Some(table)
     }
 
     /// Number of trees the forest sums (all-zero no-op trees are dropped at
@@ -209,9 +352,16 @@ impl FlatForest {
         self.trees.len()
     }
 
-    /// Number of distinct tree shapes, i.e. walks per scored row.
+    /// Number of distinct tree shapes, i.e. walks per scored row when the
+    /// forest has no region table.
     pub fn shape_count(&self) -> usize {
         self.shapes.len()
+    }
+
+    /// Number of cells in the forest's region table, or `None` when its
+    /// threshold grid exceeds the cap and rows are scored by the shape walk.
+    pub fn region_cells(&self) -> Option<usize> {
+        self.regions.as_ref().map(|table| table.cells.len())
     }
 
     /// Writes, for every shape and lane `l`, the leaf slot the shape routes
@@ -277,8 +427,12 @@ impl FlatForest {
     }
 
     /// Predicts one row: `base_score + Σ learning_rate · leaf`, trees in
-    /// boosting order (bit-identical to the recursive ensemble).
+    /// boosting order (bit-identical to the recursive ensemble), looked up
+    /// in the region table when the forest has one.
     pub fn predict_row(&self, x: &[f64]) -> f64 {
+        if let Some(table) = &self.regions {
+            return table.lookup(x);
+        }
         let [y] = Self::with_slots(self.shapes.len(), |slots| self.score([x], slots));
         y
     }
@@ -286,11 +440,15 @@ impl FlatForest {
     /// Batched prediction: scores every row of `x` into `out` (cleared
     /// first).
     ///
-    /// Rows are scored eight at a time through the same shape walk and
-    /// leaf sums as [`FlatForest::predict_row`], so every output is
-    /// bit-identical to it.
+    /// Rows are looked up in the region table, or scored eight at a time
+    /// through the same shape walk and leaf sums as
+    /// [`FlatForest::predict_row`], so every output is bit-identical to it.
     pub fn predict_into(&self, x: &Matrix, out: &mut Vec<f64>) {
         out.clear();
+        if let Some(table) = &self.regions {
+            out.extend((0..x.rows()).map(|r| table.lookup(x.row(r))));
+            return;
+        }
         out.resize(x.rows(), 0.0);
         Self::with_slots(self.shapes.len() * LANES, |slots| {
             let mut lanes = out.chunks_exact_mut(LANES);
@@ -314,7 +472,9 @@ fn index(len: usize) -> u32 {
 
 /// Flattens `node` into `shape` (indices relative to the shape's root) with
 /// `levels` walk steps left to spend, numbering leaves in preorder from
-/// `*slots` and appending `learning_rate · weight` per leaf to `leaves`.
+/// `*slots`, appending `learning_rate · weight` per leaf to `leaves` and
+/// every real split's feature and threshold to `splits` (the region table's
+/// grid; padding splits are not recorded).
 ///
 /// A leaf reached with steps to spare gets a chain of pass-through splits
 /// above it — `x[0] <= +∞` always descends left, and the stored right child
@@ -328,6 +488,7 @@ fn push_node(
     shape: &mut Vec<FlatNode>,
     slots: &mut u32,
     leaves: &mut Vec<f64>,
+    splits: &mut Vec<(u32, f64)>,
 ) {
     let idx = index(shape.len());
     match node {
@@ -337,7 +498,15 @@ fn push_node(
                 right: idx + 1,
                 threshold: f64::INFINITY,
             });
-            push_node(node, levels - 1, learning_rate, shape, slots, leaves);
+            push_node(
+                node,
+                levels - 1,
+                learning_rate,
+                shape,
+                slots,
+                leaves,
+                splits,
+            );
         }
         Node::Leaf { weight } => {
             shape.push(FlatNode {
@@ -354,16 +523,34 @@ fn push_node(
             left,
             right,
         } => {
+            let feature = u32::try_from(*feature).expect("feature index fits u32");
             shape.push(FlatNode {
-                feature: u32::try_from(*feature).expect("feature index fits u32"),
+                feature,
                 right: 0,
                 threshold: *threshold,
             });
+            splits.push((feature, *threshold));
             // Preorder: the left subtree directly follows its parent, so only
             // the right-child index needs storing.
-            push_node(left, levels - 1, learning_rate, shape, slots, leaves);
+            push_node(
+                left,
+                levels - 1,
+                learning_rate,
+                shape,
+                slots,
+                leaves,
+                splits,
+            );
             shape[idx as usize].right = index(shape.len());
-            push_node(right, levels - 1, learning_rate, shape, slots, leaves);
+            push_node(
+                right,
+                levels - 1,
+                learning_rate,
+                shape,
+                slots,
+                leaves,
+                splits,
+            );
         }
     }
 }
@@ -438,6 +625,87 @@ mod tests {
         );
     }
 
+    /// The same forest with its region table removed: scores every row by
+    /// the shape walk.
+    fn shape_walk(forest: &FlatForest) -> FlatForest {
+        FlatForest {
+            regions: None,
+            ..forest.clone()
+        }
+    }
+
+    fn split(feature: usize, threshold: f64, left: Node, right: Node) -> Node {
+        Node::Split {
+            feature,
+            threshold,
+            left: Box::new(left),
+            right: Box::new(right),
+        }
+    }
+
+    fn leaf(weight: f64) -> Node {
+        Node::Leaf { weight }
+    }
+
+    #[test]
+    fn signed_zero_thresholds_share_one_interval_boundary() {
+        let trees = [
+            split(0, -0.0, leaf(1.0), leaf(2.0)),
+            split(0, 0.0, leaf(4.0), split(1, -1.5, leaf(8.0), leaf(16.0))),
+        ]
+        .map(|root| RegressionTree::from_root(root, 2));
+        let forest = FlatForest::compile(0.25, 0.5, &trees);
+        let table = forest
+            .regions
+            .as_ref()
+            .expect("a two-tree forest is tabulated");
+        // Feature 0 has one boundary (at zero), feature 1 one (at -1.5).
+        assert_eq!(table.thresholds.len(), 2);
+        assert_eq!(forest.region_cells(), Some(4));
+        let walk = shape_walk(&forest);
+        let zero = f64::from_bits(1);
+        for x0 in [-zero, -0.0, 0.0, zero, f64::NAN] {
+            for x1 in [-2.0, -1.5, 0.0, f64::NAN] {
+                let row = [x0, x1];
+                let expected: f64 = trees.iter().map(|t| 0.5 * t.predict(&row)).sum();
+                assert_eq!(
+                    forest.predict_row(&row).to_bits(),
+                    (0.25 + expected).to_bits()
+                );
+                assert_eq!(
+                    forest.predict_row(&row).to_bits(),
+                    walk.predict_row(&row).to_bits()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn forests_above_the_cell_cap_keep_the_shape_walk() {
+        let x: Vec<Vec<f64>> = (0..200)
+            .map(|i| vec![i as f64, ((i * 37) % 200) as f64, ((i * 91) % 200) as f64])
+            .collect();
+        let y: Vec<f64> = x
+            .iter()
+            .map(|r| (r[0] * 0.1).sin() + r[1] * r[2] * 1e-3)
+            .collect();
+        let mut m = GradientBoosting::new(GbdtParams {
+            n_estimators: 60,
+            max_depth: 4,
+            ..GbdtParams::default()
+        });
+        m.fit(&x, &y).unwrap();
+        let forest = m.forest();
+        assert_eq!(forest.region_cells(), None);
+        let mut batched = Vec::new();
+        forest.predict_into(&Matrix::from_rows(&x), &mut batched);
+        for (row, got) in x.iter().zip(&batched) {
+            let recursive = m.predict_recursive(row).to_bits();
+            assert_eq!(forest.predict_row(row).to_bits(), recursive);
+            assert_eq!(got.to_bits(), recursive);
+        }
+    }
+
     proptest! {
         /// Flat inference is bit-identical to the recursive reference across
         /// randomly shaped, randomly subsampled fitted forests.
@@ -473,14 +741,17 @@ mod tests {
 
         /// The few-shot regime the power model trains in: 6 rows and 120
         /// boosting rounds reuse a handful of thresholds, so many trees share
-        /// a shape.  Batched, per-row and recursive predictions agree bit for
-        /// bit on the training rows and on probe rows with NaN features.
+        /// a shape and the forest is tabulated.  The region table, the shape
+        /// walk (batched and per row) and the recursive ensemble agree bit for
+        /// bit on the training rows and on probes: random values, NaN, ±0,
+        /// ±∞, every threshold exactly and the floats on either side of it.
         #[test]
         fn shared_shapes_match_recursive_on_few_shot_fits(
             max_depth in 1usize..5,
             raw in proptest::collection::vec(-50.0f64..50.0, 18),
-            probes in proptest::collection::vec(-60.0f64..60.0, 24),
-            nan_mask in proptest::collection::vec(0u8..4, 24),
+            values in proptest::collection::vec(-60.0f64..60.0, 48),
+            picks in proptest::collection::vec(0usize..1024, 48),
+            kinds in proptest::collection::vec(0u8..10, 48),
         ) {
             let x: Vec<Vec<f64>> = raw.chunks_exact(3).map(<[f64]>::to_vec).collect();
             let y: Vec<f64> = x.iter().map(|r| r[0] * 1.5 - r[1] + r[2] * r[0] * 0.05).collect();
@@ -497,24 +768,44 @@ mod tests {
                 forest.shape_count(),
                 forest.tree_count()
             );
-            // A quarter of the probe features are NaN (mask value 0).
-            let probe_rows = probes
+            let table = forest.regions.as_ref();
+            prop_assert!(table.is_some(), "a six-row fit is tabulated");
+            let thresholds = &table.unwrap().thresholds;
+            let probes: Vec<f64> = values
                 .iter()
-                .zip(&nan_mask)
-                .map(|(&v, &mask)| if mask == 0 { f64::NAN } else { v })
-                .collect::<Vec<f64>>();
+                .zip(picks.iter().zip(&kinds))
+                .map(|(&value, (&pick, &kind))| {
+                    let t = thresholds[pick % thresholds.len()];
+                    match kind {
+                        0 => f64::NAN,
+                        1 => -0.0,
+                        2 => 0.0,
+                        3 => f64::INFINITY,
+                        4 => f64::NEG_INFINITY,
+                        5 => t,
+                        6 => t.next_up(),
+                        7 => t.next_down(),
+                        _ => value,
+                    }
+                })
+                .collect();
             let rows: Vec<Vec<f64>> = x
                 .iter()
                 .cloned()
-                .chain(probe_rows.chunks_exact(3).map(<[f64]>::to_vec))
+                .chain(probes.chunks_exact(3).map(<[f64]>::to_vec))
                 .collect();
-            let mut batched = Vec::new();
-            forest.predict_into(&Matrix::from_rows(&rows), &mut batched);
+            let walk = shape_walk(forest);
+            let matrix = Matrix::from_rows(&rows);
+            let (mut batched, mut walked) = (Vec::new(), Vec::new());
+            forest.predict_into(&matrix, &mut batched);
+            walk.predict_into(&matrix, &mut walked);
             prop_assert_eq!(batched.len(), rows.len());
-            for (row, got) in rows.iter().zip(&batched) {
-                let recursive = m.predict_recursive(row);
-                prop_assert_eq!(forest.predict_row(row).to_bits(), recursive.to_bits());
-                prop_assert_eq!(got.to_bits(), recursive.to_bits());
+            for (i, row) in rows.iter().enumerate() {
+                let recursive = m.predict_recursive(row).to_bits();
+                prop_assert_eq!(forest.predict_row(row).to_bits(), recursive);
+                prop_assert_eq!(walk.predict_row(row).to_bits(), recursive);
+                prop_assert_eq!(batched[i].to_bits(), recursive);
+                prop_assert_eq!(walked[i].to_bits(), recursive);
             }
         }
     }

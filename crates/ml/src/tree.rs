@@ -223,6 +223,17 @@ impl RegressionTree {
         }
     }
 
+    /// A fitted tree with the given root, for tests that need exact
+    /// thresholds.
+    #[cfg(test)]
+    pub(crate) fn from_root(root: Node, n_features: usize) -> Self {
+        Self {
+            params: TreeParams::default(),
+            root: Some(root),
+            n_features,
+        }
+    }
+
     /// Fits the tree to gradients and hessians on the given rows.
     ///
     /// `rows` indexes into `x`; the caller controls subsampling by passing a subset.
