@@ -3,7 +3,7 @@
 //!
 //! Run with `cargo bench --bench substrates [filter]`.
 
-use autopower::{AutoPower, PowerTracePredictor};
+use autopower::{AutoPower, PowerModel, PowerTracePredictor};
 use autopower_bench::harness::Bench;
 use autopower_bench::{bench_configs, bench_corpus};
 use autopower_config::{ConfigId, Workload};

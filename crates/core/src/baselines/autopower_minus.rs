@@ -5,15 +5,13 @@
 //! rate, scaling-pattern block shapes, macro mapping …) it applies a direct ML model per
 //! component and per power group.
 
-use crate::dataset::{Corpus, RunData};
+use crate::dataset::Corpus;
 use crate::error::AutoPowerError;
-use crate::features::{model_feature_matrix, model_features_into, FeatureScratch, ModelFeatures};
-use crate::power_model::{ModelKind, PowerModel};
+use crate::features::{model_feature_matrix, FeatureScratch, GroupColumns, ModelFeatures};
+use crate::power_model::{ModelKind, PowerModel, PredictInput};
 use crate::prediction::{ComponentBreakdown, Prediction};
-use autopower_config::{Component, ConfigId, CpuConfig, Workload};
-use autopower_ml::{GradientBoosting, Regressor};
-use autopower_perfsim::EventParams;
-use autopower_powersim::PowerGroups;
+use autopower_config::{Component, ConfigId};
+use autopower_ml::GradientBoosting;
 use serde::codec::{Codec, CodecError, Reader, Writer};
 
 /// The four power groups a model is trained for.
@@ -76,70 +74,6 @@ impl AutoPowerMinus {
         }
         Ok(Self { models })
     }
-
-    /// Predicted per-group power of one component.
-    pub fn predict_component(
-        &self,
-        component: Component,
-        config: &CpuConfig,
-        events: &EventParams,
-        workload: Workload,
-    ) -> PowerGroups {
-        self.predict_component_with(
-            component,
-            config,
-            events,
-            workload,
-            &mut FeatureScratch::new(),
-        )
-    }
-
-    /// [`AutoPowerMinus::predict_component`] with a reusable feature scratch:
-    /// one row feeds all four group models.
-    pub fn predict_component_with(
-        &self,
-        component: Component,
-        config: &CpuConfig,
-        events: &EventParams,
-        workload: Workload,
-        scratch: &mut FeatureScratch,
-    ) -> PowerGroups {
-        let row = scratch.row_mut();
-        model_features_into(
-            ModelFeatures::HW_EVENTS,
-            component,
-            config,
-            events,
-            workload,
-            row,
-        );
-        let m = &self.models[component.index()];
-        PowerGroups {
-            clock: m[0].predict(row).max(0.0),
-            sram: m[1].predict(row).max(0.0),
-            register: m[2].predict(row).max(0.0),
-            combinational: m[3].predict(row).max(0.0),
-        }
-    }
-
-    /// Predicted per-group power of the whole core.
-    pub fn predict(
-        &self,
-        config: &CpuConfig,
-        events: &EventParams,
-        workload: Workload,
-    ) -> PowerGroups {
-        let mut total = PowerGroups::default();
-        for &c in &Component::ALL {
-            total += self.predict_component(c, config, events, workload);
-        }
-        total
-    }
-
-    /// Convenience: predicts the per-group power of a corpus run.
-    pub fn predict_run(&self, run: &RunData) -> PowerGroups {
-        self.predict(&run.config, &run.sim.events, run.workload)
-    }
 }
 
 impl PowerModel for AutoPowerMinus {
@@ -148,30 +82,51 @@ impl PowerModel for AutoPowerMinus {
     }
 
     /// Fully component- and group-resolved: the typed prediction carries one
-    /// group split per component, and the core-level groups/total are their
-    /// [`Component::ALL`]-ordered sum — the exact accumulation the inherent
-    /// API performs.
-    fn predict_with(
+    /// group split per component, scored forest-major (per component, one
+    /// feature matrix feeds all four group models), and the core-level
+    /// groups/total are their [`Component::ALL`]-ordered sum.
+    fn predict_batch_with(
         &self,
-        config: &CpuConfig,
-        events: &EventParams,
-        workload: Workload,
+        points: &[PredictInput<'_>],
         scratch: &mut FeatureScratch,
-    ) -> Prediction {
-        Prediction::per_component(ComponentBreakdown::from_groups(|component| {
-            self.predict_component_with(component, config, events, workload, scratch)
-        }))
-    }
-
-    fn predict_components(
-        &self,
-        config: &CpuConfig,
-        events: &EventParams,
-        workload: Workload,
-    ) -> Option<ComponentBreakdown> {
-        Some(ComponentBreakdown::from_groups(|component| {
-            self.predict_component(component, config, events, workload)
-        }))
+        out: &mut Vec<Prediction>,
+    ) {
+        out.clear();
+        if points.is_empty() {
+            return;
+        }
+        let n = points.len();
+        let FeatureScratch {
+            matrix,
+            ensembles: [raw, _],
+            columns,
+            ..
+        } = scratch;
+        let GroupColumns {
+            clock,
+            sram,
+            register,
+            combinational,
+        } = columns;
+        let mut group_columns = [clock, sram, register, combinational];
+        for column in group_columns.iter_mut() {
+            column.clear();
+        }
+        // Appending component by component fills the columns
+        // component-major.
+        for (&component, models) in Component::ALL.iter().zip(&self.models) {
+            matrix.score_features(ModelFeatures::HW_EVENTS, component, points, |x| {
+                for (model, column) in models.iter().zip(group_columns.iter_mut()) {
+                    model.forest().predict_into(x, raw);
+                    column.extend(raw.iter().map(|v| v.max(0.0)));
+                }
+            });
+        }
+        out.extend((0..n).map(|i| {
+            Prediction::per_component(ComponentBreakdown::from_groups(|component| {
+                columns.component(component, n, i)
+            }))
+        }));
     }
 
     fn serialize(&self, w: &mut Writer) {
@@ -263,12 +218,8 @@ mod tests {
         let c = corpus();
         let m = AutoPowerMinus::train(&c, &[ConfigId::new(1), ConfigId::new(15)]).unwrap();
         let run = c.run(ConfigId::new(8), Workload::Vvadd).unwrap();
-        let p = m.predict_component(
-            Component::FuPool,
-            &run.config,
-            &run.sim.events,
-            run.workload,
-        );
+        let breakdown = m.predict_run_components(run).unwrap();
+        let p = breakdown.component(Component::FuPool).groups.unwrap();
         assert!(p.sram < 1e-6, "FU pool has no SRAM, predicted {}", p.sram);
     }
 

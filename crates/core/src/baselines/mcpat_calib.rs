@@ -1,12 +1,12 @@
 //! The McPAT-Calib baseline: a single ML model from (H, E) to total power.
 
-use crate::dataset::{Corpus, RunData};
+use crate::dataset::Corpus;
 use crate::error::AutoPowerError;
 use crate::features::FeatureScratch;
-use crate::power_model::{ModelKind, PowerModel};
+use crate::power_model::{ModelKind, PowerModel, PredictInput};
 use crate::prediction::Prediction;
-use autopower_config::{ConfigId, CpuConfig, HwParam, Workload};
-use autopower_ml::{GradientBoosting, Matrix, Regressor};
+use autopower_config::{ConfigId, CpuConfig, HwParam};
+use autopower_ml::{GradientBoosting, Matrix};
 use autopower_perfsim::EventParams;
 use serde::codec::{Codec, CodecError, Reader, Writer};
 
@@ -62,28 +62,6 @@ impl McpatCalib {
         model.fit_matrix(&matrix, &targets).map_err(fit_error)?;
         Ok(Self { model })
     }
-
-    /// Predicted total power in mW.
-    pub fn predict(&self, config: &CpuConfig, events: &EventParams) -> f64 {
-        self.predict_scratch(config, events, &mut FeatureScratch::new())
-    }
-
-    /// [`McpatCalib::predict`] with a reusable feature scratch.
-    pub fn predict_scratch(
-        &self,
-        config: &CpuConfig,
-        events: &EventParams,
-        scratch: &mut FeatureScratch,
-    ) -> f64 {
-        let row = scratch.row_mut();
-        Self::features_into(config, events, row);
-        self.model.predict(row).max(0.0)
-    }
-
-    /// Convenience: predicts the total power of a corpus run.
-    pub fn predict_run(&self, run: &RunData) -> f64 {
-        self.predict(&run.config, &run.sim.events)
-    }
 }
 
 impl PowerModel for McpatCalib {
@@ -93,14 +71,27 @@ impl PowerModel for McpatCalib {
 
     /// Total-only: the typed prediction carries the scalar and nothing else —
     /// no group slot to misread.
-    fn predict_with(
+    fn predict_batch_with(
         &self,
-        config: &CpuConfig,
-        events: &EventParams,
-        _workload: Workload,
+        points: &[PredictInput<'_>],
         scratch: &mut FeatureScratch,
-    ) -> Prediction {
-        Prediction::total_only(self.predict_scratch(config, events, scratch))
+        out: &mut Vec<Prediction>,
+    ) {
+        out.clear();
+        if points.is_empty() {
+            return;
+        }
+        let FeatureScratch {
+            matrix,
+            ensembles: [totals, _],
+            ..
+        } = scratch;
+        matrix.score(
+            points,
+            |p, row| Self::features_into(p.config, p.events, row),
+            |x| self.model.forest().predict_into(x, totals),
+        );
+        out.extend(totals.iter().map(|t| Prediction::total_only(t.max(0.0))));
     }
 
     fn serialize(&self, w: &mut Writer) {
@@ -144,7 +135,7 @@ mod tests {
         let train = [ConfigId::new(1), ConfigId::new(15)];
         let m = McpatCalib::train(&c, &train).unwrap();
         for run in c.training_runs(&train) {
-            let pred = m.predict_run(run);
+            let pred = m.predict_total(run);
             let truth = run.golden.total_mw();
             assert!(((pred - truth) / truth).abs() < 0.10, "{pred} vs {truth}");
         }
@@ -155,7 +146,7 @@ mod tests {
         let c = corpus();
         let m = McpatCalib::train(&c, &[ConfigId::new(1), ConfigId::new(15)]).unwrap();
         for run in c.runs() {
-            assert!(m.predict_run(run) > 0.0);
+            assert!(m.predict_total(run) > 0.0);
         }
     }
 

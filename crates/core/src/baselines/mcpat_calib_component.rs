@@ -1,14 +1,13 @@
 //! The "McPAT-Calib + Component" ablation baseline: one McPAT-Calib-style model per
 //! component, summed.
 
-use crate::dataset::{Corpus, RunData};
+use crate::dataset::Corpus;
 use crate::error::AutoPowerError;
-use crate::features::{model_feature_matrix, model_features_into, FeatureScratch, ModelFeatures};
-use crate::power_model::{ModelKind, PowerModel};
+use crate::features::{model_feature_matrix, FeatureScratch, ModelFeatures};
+use crate::power_model::{ModelKind, PowerModel, PredictInput};
 use crate::prediction::{ComponentBreakdown, Prediction};
-use autopower_config::{Component, ConfigId, CpuConfig, Workload};
-use autopower_ml::{GradientBoosting, Regressor};
-use autopower_perfsim::EventParams;
+use autopower_config::{Component, ConfigId};
+use autopower_ml::GradientBoosting;
 use serde::codec::{Codec, CodecError, Reader, Writer};
 
 /// Per-component total-power baseline (the extra ablation of Fig. 6).
@@ -50,58 +49,6 @@ impl McpatCalibComponent {
             .collect::<Result<Vec<_>, AutoPowerError>>()?;
         Ok(Self { per_component })
     }
-
-    /// Predicted total power of one component in mW.
-    pub fn predict_component(
-        &self,
-        component: Component,
-        config: &CpuConfig,
-        events: &EventParams,
-        workload: Workload,
-    ) -> f64 {
-        self.predict_component_with(
-            component,
-            config,
-            events,
-            workload,
-            &mut FeatureScratch::new(),
-        )
-    }
-
-    /// [`McpatCalibComponent::predict_component`] with a reusable feature
-    /// scratch.
-    pub fn predict_component_with(
-        &self,
-        component: Component,
-        config: &CpuConfig,
-        events: &EventParams,
-        workload: Workload,
-        scratch: &mut FeatureScratch,
-    ) -> f64 {
-        let row = scratch.row_mut();
-        model_features_into(
-            ModelFeatures::HW_EVENTS,
-            component,
-            config,
-            events,
-            workload,
-            row,
-        );
-        self.per_component[component.index()].predict(row).max(0.0)
-    }
-
-    /// Predicted total core power in mW (sum of the component models).
-    pub fn predict(&self, config: &CpuConfig, events: &EventParams, workload: Workload) -> f64 {
-        Component::ALL
-            .iter()
-            .map(|&c| self.predict_component(c, config, events, workload))
-            .sum()
-    }
-
-    /// Convenience: predicts the total power of a corpus run.
-    pub fn predict_run(&self, run: &RunData) -> f64 {
-        self.predict(&run.config, &run.sim.events, run.workload)
-    }
 }
 
 impl PowerModel for McpatCalibComponent {
@@ -110,29 +57,37 @@ impl PowerModel for McpatCalibComponent {
     }
 
     /// Component-resolved, but without per-component groups: each component
-    /// carries its predicted scalar, and the core-level total is their sum —
-    /// exactly the summation the inherent API performs.
-    fn predict_with(
+    /// carries its predicted scalar, and the core-level total is their sum.
+    fn predict_batch_with(
         &self,
-        config: &CpuConfig,
-        events: &EventParams,
-        workload: Workload,
+        points: &[PredictInput<'_>],
         scratch: &mut FeatureScratch,
-    ) -> Prediction {
-        Prediction::per_component(ComponentBreakdown::from_totals(|component| {
-            self.predict_component_with(component, config, events, workload, scratch)
-        }))
-    }
-
-    fn predict_components(
-        &self,
-        config: &CpuConfig,
-        events: &EventParams,
-        workload: Workload,
-    ) -> Option<ComponentBreakdown> {
-        Some(ComponentBreakdown::from_totals(|component| {
-            self.predict_component(component, config, events, workload)
-        }))
+        out: &mut Vec<Prediction>,
+    ) {
+        out.clear();
+        if points.is_empty() {
+            return;
+        }
+        let n = points.len();
+        let FeatureScratch {
+            matrix,
+            ensembles: [raw, _],
+            ..
+        } = scratch;
+        // Component-major: component `c`'s total at point `i` is at
+        // `[c.index() * n + i]`.
+        let mut totals = Vec::with_capacity(Component::ALL.len() * n);
+        for (&component, model) in Component::ALL.iter().zip(&self.per_component) {
+            matrix.score_features(ModelFeatures::HW_EVENTS, component, points, |x| {
+                model.forest().predict_into(x, raw)
+            });
+            totals.extend(raw.iter().map(|t| t.max(0.0)));
+        }
+        out.extend((0..n).map(|i| {
+            Prediction::per_component(ComponentBreakdown::from_totals(|component| {
+                totals[component.index() * n + i]
+            }))
+        }));
     }
 
     fn serialize(&self, w: &mut Writer) {
@@ -193,11 +148,13 @@ mod tests {
         let c = corpus();
         let m = McpatCalibComponent::train(&c, &[ConfigId::new(1), ConfigId::new(15)]).unwrap();
         let run = c.run(ConfigId::new(8), Workload::Vvadd).unwrap();
-        let sum: f64 = Component::ALL
+        let sum: f64 = m
+            .predict_run_components(run)
+            .unwrap()
             .iter()
-            .map(|&comp| m.predict_component(comp, &run.config, &run.sim.events, run.workload))
+            .map(|(_, entry)| entry.total)
             .sum();
-        assert!((sum - m.predict_run(run)).abs() < 1e-9);
+        assert!((sum - m.predict_total(run)).abs() < 1e-9);
     }
 
     #[test]
@@ -206,7 +163,7 @@ mod tests {
         let train = [ConfigId::new(1), ConfigId::new(15)];
         let m = McpatCalibComponent::train(&c, &train).unwrap();
         for run in c.training_runs(&train) {
-            let pred = m.predict_run(run);
+            let pred = m.predict_total(run);
             let truth = run.golden.total_mw();
             assert!(((pred - truth) / truth).abs() < 0.15, "{pred} vs {truth}");
         }

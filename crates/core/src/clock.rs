@@ -10,8 +10,8 @@
 use crate::dataset::{Corpus, RunData};
 use crate::error::AutoPowerError;
 use crate::features::{
-    batch_feature_matrix, hw_features, hw_features_into, model_feature_matrix, model_features_into,
-    FeatureScratch, ModelFeatures,
+    fold_column, hw_features, hw_features_into, model_feature_matrix, reset_column, FeatureScratch,
+    ModelFeatures,
 };
 use crate::power_model::PredictInput;
 use autopower_config::{Component, ConfigId, CpuConfig, Workload};
@@ -29,6 +29,18 @@ struct ComponentClockModel {
     /// Effective-active-rate model `F_α′(H, E)` (the α′ of Eq. 6, in mW per gated
     /// register, i.e. with `p_reg` and the gating-cell overhead folded in).
     falpha: GradientBoosting,
+}
+
+impl ComponentClockModel {
+    /// Register count `R` from the component's hardware row.
+    fn register_count(&self, hw: &[f64]) -> f64 {
+        self.freg.predict(hw).max(1.0)
+    }
+
+    /// Gating rate `g` from the component's hardware row.
+    fn gating_rate(&self, hw: &[f64]) -> f64 {
+        self.fgate.predict(hw).clamp(0.0, 0.99)
+    }
 }
 
 /// The clock power model: one set of decoupled sub-models per component.
@@ -136,126 +148,16 @@ impl ClockPowerModel {
 
     /// Predicted register count of one component.
     pub fn predict_register_count(&self, component: Component, config: &CpuConfig) -> f64 {
-        self.predict_register_count_with(component, config, &mut FeatureScratch::new())
-    }
-
-    /// [`ClockPowerModel::predict_register_count`] with a reusable scratch.
-    pub fn predict_register_count_with(
-        &self,
-        component: Component,
-        config: &CpuConfig,
-        scratch: &mut FeatureScratch,
-    ) -> f64 {
-        let row = scratch.row_mut();
-        hw_features_into(component, config, row);
-        self.per_component[component.index()]
-            .freg
-            .predict(row)
-            .max(1.0)
+        self.per_component[component.index()].register_count(&hw_features(component, config))
     }
 
     /// Predicted gating rate of one component.
     pub fn predict_gating_rate(&self, component: Component, config: &CpuConfig) -> f64 {
-        self.predict_gating_rate_with(component, config, &mut FeatureScratch::new())
+        self.per_component[component.index()].gating_rate(&hw_features(component, config))
     }
 
-    /// [`ClockPowerModel::predict_gating_rate`] with a reusable scratch.
-    pub fn predict_gating_rate_with(
-        &self,
-        component: Component,
-        config: &CpuConfig,
-        scratch: &mut FeatureScratch,
-    ) -> f64 {
-        let row = scratch.row_mut();
-        hw_features_into(component, config, row);
-        self.per_component[component.index()]
-            .fgate
-            .predict(row)
-            .clamp(0.0, 0.99)
-    }
-
-    /// Predicted effective active rate α′ of one component (mW per gated register).
-    pub fn predict_effective_active_rate(
-        &self,
-        component: Component,
-        config: &CpuConfig,
-        events: &EventParams,
-        workload: Workload,
-    ) -> f64 {
-        self.predict_effective_active_rate_with(
-            component,
-            config,
-            events,
-            workload,
-            &mut FeatureScratch::new(),
-        )
-    }
-
-    /// [`ClockPowerModel::predict_effective_active_rate`] with a reusable
-    /// scratch.
-    pub fn predict_effective_active_rate_with(
-        &self,
-        component: Component,
-        config: &CpuConfig,
-        events: &EventParams,
-        workload: Workload,
-        scratch: &mut FeatureScratch,
-    ) -> f64 {
-        let row = scratch.row_mut();
-        model_features_into(
-            ModelFeatures::HW_EVENTS,
-            component,
-            config,
-            events,
-            workload,
-            row,
-        );
-        self.per_component[component.index()]
-            .falpha
-            .predict(row)
-            .max(0.0)
-    }
-
-    /// Predicted clock power of one component in mW (Eq. 7).
-    pub fn predict_component(
-        &self,
-        component: Component,
-        config: &CpuConfig,
-        events: &EventParams,
-        workload: Workload,
-    ) -> f64 {
-        self.predict_component_with(
-            component,
-            config,
-            events,
-            workload,
-            &mut FeatureScratch::new(),
-        )
-    }
-
-    /// [`ClockPowerModel::predict_component`] with feature rows assembled in a
-    /// reusable scratch (the allocation-free batch-inference path).
-    pub fn predict_component_with(
-        &self,
-        component: Component,
-        config: &CpuConfig,
-        events: &EventParams,
-        workload: Workload,
-        scratch: &mut FeatureScratch,
-    ) -> f64 {
-        let r = self.predict_register_count_with(component, config, scratch);
-        let g = self.predict_gating_rate_with(component, config, scratch);
-        let alpha_eff =
-            self.predict_effective_active_rate_with(component, config, events, workload, scratch);
-        r * (1.0 - g) * self.preg_mw + alpha_eff * r * g
-    }
-
-    /// Predicted clock power of the whole core in mW.
-    pub fn predict(&self, config: &CpuConfig, events: &EventParams, workload: Workload) -> f64 {
-        self.predict_with(config, events, workload, &mut FeatureScratch::new())
-    }
-
-    /// [`ClockPowerModel::predict`] with a reusable feature scratch.
+    /// Predicted clock power of the whole core in mW: a batch of one through
+    /// the batch path the sweep engine scores.
     pub fn predict_with(
         &self,
         config: &CpuConfig,
@@ -263,41 +165,41 @@ impl ClockPowerModel {
         workload: Workload,
         scratch: &mut FeatureScratch,
     ) -> f64 {
-        Component::ALL
-            .iter()
-            .map(|&c| self.predict_component_with(c, config, events, workload, scratch))
-            .sum()
+        self.predict_batch_into(&[PredictInput::new(config, events, workload)], scratch);
+        fold_column(&scratch.columns.clock, 1, 0)
     }
 
-    /// Accumulates the whole-core clock power of every point into `acc`
-    /// (`acc[i] += P_clk(points[i])`), scoring forest-major: each component's
-    /// α′ ensemble walks the entire batch before the next component's, so an
-    /// ensemble's nodes stay cache-resident across the batch instead of being
-    /// evicted between points.  Bit-identical to calling
-    /// [`ClockPowerModel::predict_with`] per point — same feature rows, same
-    /// per-component evaluation order, same left-to-right summation.
+    /// Writes each component's clock power (Eq. 7) at every point into the
+    /// scratch's clock column, scoring forest-major: each component's α′
+    /// ensemble walks the entire batch before the next component's, so an
+    /// ensemble's nodes stay cache-resident across the batch.  Each point's
+    /// hardware row is assembled once per component and feeds both the
+    /// register-count and the gating-rate model.
     pub(crate) fn predict_batch_into(
         &self,
         points: &[PredictInput<'_>],
         scratch: &mut FeatureScratch,
-        acc: &mut [f64],
     ) {
-        debug_assert_eq!(points.len(), acc.len());
-        if points.is_empty() {
-            return;
-        }
-        let mut alphas = Vec::with_capacity(points.len());
+        let n = points.len();
+        let FeatureScratch {
+            row,
+            matrix,
+            ensembles: [alphas, _],
+            columns,
+        } = scratch;
+        reset_column(&mut columns.clock, n);
         for &component in Component::ALL.iter() {
-            let matrix = batch_feature_matrix(ModelFeatures::HW_EVENTS, component, points);
-            self.per_component[component.index()]
-                .falpha
-                .forest()
-                .predict_into(&matrix, &mut alphas);
-            for (i, p) in points.iter().enumerate() {
-                let r = self.predict_register_count_with(component, p.config, scratch);
-                let g = self.predict_gating_rate_with(component, p.config, scratch);
-                let alpha_eff = alphas[i].max(0.0);
-                acc[i] += r * (1.0 - g) * self.preg_mw + alpha_eff * r * g;
+            let m = &self.per_component[component.index()];
+            matrix.score_features(ModelFeatures::HW_EVENTS, component, points, |x| {
+                m.falpha.forest().predict_into(x, alphas)
+            });
+            let terms = &mut columns.clock[component.index() * n..][..n];
+            for ((term, p), alpha) in terms.iter_mut().zip(points).zip(alphas.iter()) {
+                row.clear();
+                hw_features_into(component, p.config, row);
+                let r = m.register_count(row);
+                let g = m.gating_rate(row);
+                *term = r * (1.0 - g) * self.preg_mw + alpha.max(0.0) * r * g;
             }
         }
     }
@@ -375,6 +277,30 @@ impl ClockPowerModel {
     pub(crate) fn boosted(&self) -> impl Iterator<Item = &GradientBoosting> {
         self.per_component.iter().map(|c| &c.falpha)
     }
+
+    /// Eq. 7 for one component at one point from per-row predictions: the
+    /// reference the batch path is checked against.
+    pub(crate) fn reference_component(
+        &self,
+        component: Component,
+        config: &CpuConfig,
+        events: &EventParams,
+        workload: Workload,
+    ) -> f64 {
+        let m = &self.per_component[component.index()];
+        let hw = hw_features(component, config);
+        let r = m.freg.predict(&hw).max(1.0);
+        let g = m.fgate.predict(&hw).clamp(0.0, 0.99);
+        let row = crate::features::model_features(
+            ModelFeatures::HW_EVENTS,
+            component,
+            config,
+            events,
+            workload,
+        );
+        let alpha_eff = m.falpha.predict(&row).max(0.0);
+        r * (1.0 - g) * self.preg_mw + alpha_eff * r * g
+    }
 }
 
 #[cfg(test)]
@@ -383,6 +309,15 @@ mod tests {
     use crate::dataset::CorpusSpec;
     use autopower_config::{boom_configs, Workload};
     use autopower_ml::metrics;
+
+    fn predict(model: &ClockPowerModel, run: &RunData) -> f64 {
+        model.predict_with(
+            &run.config,
+            &run.sim.events,
+            run.workload,
+            &mut FeatureScratch::new(),
+        )
+    }
 
     fn corpus() -> Corpus {
         let cfgs = boom_configs();
@@ -443,7 +378,7 @@ mod tests {
         let mut preds = Vec::new();
         for run in c.test_runs(&[ConfigId::new(1), ConfigId::new(15)]) {
             truths.push(run.golden.total.clock);
-            preds.push(model.predict(&run.config, &run.sim.events, run.workload));
+            preds.push(predict(&model, run));
         }
         let mape = metrics::mape(&truths, &preds);
         assert!(mape < 0.30, "clock power MAPE {mape}");
@@ -455,7 +390,7 @@ mod tests {
         let train = [ConfigId::new(1), ConfigId::new(15)];
         let model = ClockPowerModel::train(&c, &train).unwrap();
         for run in c.training_runs(&train) {
-            let pred = model.predict(&run.config, &run.sim.events, run.workload);
+            let pred = predict(&model, run);
             let truth = run.golden.total.clock;
             assert!(
                 ((pred - truth) / truth).abs() < 0.15,

@@ -1,9 +1,11 @@
 //! Feature assembly: the `H`, `E` and program-level feature vectors of the sub-models.
 
 use crate::dataset::RunData;
+use crate::power_model::PredictInput;
 use autopower_config::{Component, CpuConfig, Workload};
 use autopower_ml::Matrix;
 use autopower_perfsim::EventParams;
+use autopower_powersim::PowerGroups;
 use autopower_workloads::ProgramFeatures;
 use serde::codec::{Codec, CodecError, Reader, Writer};
 
@@ -47,50 +49,128 @@ pub fn event_features_into(component: Component, events: &EventParams, out: &mut
     events.component_features_into(component, out);
 }
 
-/// Assembles one sub-model's feature matrix over a batch of points: one
-/// [`model_features`] row per point, in point order.
+/// Reusable buffers of the batch scoring path
+/// ([`PowerModel::predict_batch_with`](crate::PowerModel::predict_batch_with)).
 ///
-/// The rows are assembled by the same [`model_features_into`] the per-point
-/// path uses, so scoring the matrix through
-/// [`FlatForest::predict_into`](autopower_ml::FlatForest::predict_into) is
-/// bit-identical to predicting each row on its own — the invariant the
-/// forest-major batch path ([`PowerModel::predict_batch_with`](crate::PowerModel::predict_batch_with)) relies on.
-pub(crate) fn batch_feature_matrix(
-    which: ModelFeatures,
-    component: Component,
-    points: &[crate::power_model::PredictInput<'_>],
-) -> Matrix {
-    let mut data = Vec::new();
-    for p in points {
-        model_features_into(which, component, p.config, p.events, p.workload, &mut data);
-    }
-    Matrix::from_flat(points.len(), data.len() / points.len(), data)
-}
-
-/// A reusable feature-row buffer for the allocation-free prediction path.
-///
-/// Every prediction assembles many short-lived feature rows (one per
-/// sub-model per component).  The engines that score thousands of points —
-/// [`SweepEngine`](crate::SweepEngine), [`sweep_multi`](crate::sweep_multi) —
-/// hand each worker one `FeatureScratch` and thread it through
-/// [`PowerModel::predict_with`](crate::PowerModel::predict_with), so the row
-/// storage is allocated once per worker instead of once per row.
+/// Scoring a batch assembles, per sub-model and component, one feature
+/// matrix over the batch and one hardware row per point, runs each ensemble
+/// over the matrix, and writes each component's term of each power group
+/// into a per-component column.  The engines that score thousands of points —
+/// [`SweepEngine`](crate::SweepEngine), [`sweep_multi`](crate::sweep_multi)
+/// and the prediction service — hand each worker one `FeatureScratch`, so
+/// that storage is allocated once per worker instead of once per batch.  The
+/// scratch never changes a prediction — it only re-uses storage.
 #[derive(Debug, Clone, Default)]
 pub struct FeatureScratch {
-    row: Vec<f64>,
+    /// One hardware-parameter row, refilled per (point, component).
+    pub(crate) row: Vec<f64>,
+    /// Storage of the batch feature matrix, refilled per (sub-model,
+    /// component).
+    pub(crate) matrix: BatchMatrix,
+    /// Raw ensemble outputs over the batch.
+    pub(crate) ensembles: [Vec<f64>; 2],
+    /// Per-component power-group terms of the batch.
+    pub(crate) columns: GroupColumns,
 }
 
 impl FeatureScratch {
-    /// Creates an empty scratch (the first row fill sizes the buffer).
+    /// Creates an empty scratch (the first batch sizes the buffers).
     pub fn new() -> Self {
         Self::default()
     }
+}
 
-    /// Clears and hands out the reusable row buffer.
-    pub(crate) fn row_mut(&mut self) -> &mut Vec<f64> {
-        self.row.clear();
-        &mut self.row
+/// The reused storage of one batch feature matrix.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct BatchMatrix(Vec<f64>);
+
+impl BatchMatrix {
+    /// Assembles one row per point (`fill` appends a point's row) into the
+    /// reused storage and hands the matrix to `score`.
+    ///
+    /// `points` must not be empty.
+    pub(crate) fn score<R>(
+        &mut self,
+        points: &[PredictInput<'_>],
+        mut fill: impl FnMut(&PredictInput<'_>, &mut Vec<f64>),
+        score: impl FnOnce(&Matrix) -> R,
+    ) -> R {
+        let mut data = std::mem::take(&mut self.0);
+        data.clear();
+        for p in points {
+            fill(p, &mut data);
+        }
+        let x = Matrix::from_flat(points.len(), data.len() / points.len(), data);
+        let result = score(&x);
+        self.0 = x.into_flat();
+        result
     }
+
+    /// [`BatchMatrix::score`] over one [`model_features`] row per point.
+    pub(crate) fn score_features<R>(
+        &mut self,
+        which: ModelFeatures,
+        component: Component,
+        points: &[PredictInput<'_>],
+        score: impl FnOnce(&Matrix) -> R,
+    ) -> R {
+        self.score(
+            points,
+            |p, out| model_features_into(which, component, p.config, p.events, p.workload, out),
+            score,
+        )
+    }
+}
+
+/// Per-component terms of the four power groups over an `n`-point batch,
+/// component-major: component `c`'s term at point `i` is at
+/// `[c.index() * n + i]`.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct GroupColumns {
+    pub(crate) clock: Vec<f64>,
+    pub(crate) sram: Vec<f64>,
+    pub(crate) register: Vec<f64>,
+    pub(crate) combinational: Vec<f64>,
+}
+
+impl GroupColumns {
+    /// Component `component`'s groups at point `i` of an `n`-point batch.
+    pub(crate) fn component(&self, component: Component, n: usize, i: usize) -> PowerGroups {
+        let at = component.index() * n + i;
+        PowerGroups {
+            clock: self.clock[at],
+            sram: self.sram[at],
+            register: self.register[at],
+            combinational: self.combinational[at],
+        }
+    }
+
+    /// Core-level groups at point `i` of an `n`-point batch (see
+    /// [`fold_column`]).
+    pub(crate) fn core(&self, n: usize, i: usize) -> PowerGroups {
+        PowerGroups {
+            clock: fold_column(&self.clock, n, i),
+            sram: fold_column(&self.sram, n, i),
+            register: fold_column(&self.register, n, i),
+            combinational: fold_column(&self.combinational, n, i),
+        }
+    }
+}
+
+/// Clears `column` to one `0.0` term per (component, point) of an `n`-point
+/// batch.
+pub(crate) fn reset_column(column: &mut Vec<f64>, n: usize) {
+    column.clear();
+    column.resize(Component::ALL.len() * n, 0.0);
+}
+
+/// Point `i`'s component terms of one column, folded left to right from
+/// `0.0` in [`Component::ALL`] order.
+pub(crate) fn fold_column(column: &[f64], n: usize, i: usize) -> f64 {
+    column[i..]
+        .iter()
+        .step_by(n)
+        .fold(0.0, |sum, term| sum + term)
 }
 
 /// Which feature blocks to include when assembling a sub-model's input row.

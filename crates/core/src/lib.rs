@@ -18,7 +18,7 @@
 //!
 //! The crate also implements the paper's baselines (McPAT-Calib, McPAT-Calib +
 //! Component, and the AutoPower− ablation), time-based power-trace prediction, and
-//! the batch design-space sweep path ([`SweepEngine`] / [`AutoPower::predict_batch`])
+//! the batch design-space sweep path ([`SweepEngine`])
 //! that scores generated configurations without ever synthesizing them.
 //!
 //! All four predictors implement the object-safe [`PowerModel`] trait and are
@@ -30,7 +30,7 @@
 //! # Quickstart
 //!
 //! ```
-//! use autopower::{AutoPower, Corpus, CorpusSpec};
+//! use autopower::{AutoPower, Corpus, CorpusSpec, PowerModel};
 //! use autopower_config::{boom_configs, ConfigId, Workload};
 //!
 //! // Build a small corpus (three configurations, two workloads) with the fast

@@ -12,8 +12,8 @@
 use crate::dataset::Corpus;
 use crate::error::AutoPowerError;
 use crate::features::{
-    batch_feature_matrix, hw_features, hw_features_into, model_feature_matrix, model_features_into,
-    FeatureScratch, ModelFeatures,
+    fold_column, hw_features, hw_features_into, model_feature_matrix, reset_column, FeatureScratch,
+    ModelFeatures,
 };
 use crate::power_model::PredictInput;
 use autopower_config::{Component, ConfigId, CpuConfig, Workload};
@@ -145,105 +145,8 @@ impl LogicPowerModel {
         })
     }
 
-    /// Predicted register (non-clock) power of one component in mW.
-    pub fn predict_register_component(
-        &self,
-        component: Component,
-        config: &CpuConfig,
-        events: &EventParams,
-        workload: Workload,
-    ) -> f64 {
-        self.predict_register_component_with(
-            component,
-            config,
-            events,
-            workload,
-            &mut FeatureScratch::new(),
-        )
-    }
-
-    /// [`LogicPowerModel::predict_register_component`] with a reusable feature
-    /// scratch (the allocation-free batch-inference path).
-    pub fn predict_register_component_with(
-        &self,
-        component: Component,
-        config: &CpuConfig,
-        events: &EventParams,
-        workload: Workload,
-        scratch: &mut FeatureScratch,
-    ) -> f64 {
-        let m = &self.per_component[component.index()];
-        let row = scratch.row_mut();
-        hw_features_into(component, config, row);
-        let r = m.reg_hardware.predict(row).max(1.0);
-        let row = scratch.row_mut();
-        model_features_into(
-            ModelFeatures::HW_EVENTS,
-            component,
-            config,
-            events,
-            workload,
-            row,
-        );
-        let per_reg = m.reg_activity.predict(row).max(0.0);
-        r * per_reg
-    }
-
-    /// Predicted combinational power of one component in mW.
-    pub fn predict_comb_component(
-        &self,
-        component: Component,
-        config: &CpuConfig,
-        events: &EventParams,
-        workload: Workload,
-    ) -> f64 {
-        self.predict_comb_component_with(
-            component,
-            config,
-            events,
-            workload,
-            &mut FeatureScratch::new(),
-        )
-    }
-
-    /// [`LogicPowerModel::predict_comb_component`] with a reusable feature
-    /// scratch.
-    pub fn predict_comb_component_with(
-        &self,
-        component: Component,
-        config: &CpuConfig,
-        events: &EventParams,
-        workload: Workload,
-        scratch: &mut FeatureScratch,
-    ) -> f64 {
-        let m = &self.per_component[component.index()];
-        let row = scratch.row_mut();
-        hw_features_into(component, config, row);
-        let stable = m.comb_stable.predict(row).max(0.0);
-        let row = scratch.row_mut();
-        model_features_into(
-            ModelFeatures::HW_EVENTS,
-            component,
-            config,
-            events,
-            workload,
-            row,
-        );
-        let variation = m.comb_variation.predict(row).max(0.0);
-        stable * variation
-    }
-
-    /// Predicted register power of the whole core in mW.
-    pub fn predict_register(
-        &self,
-        config: &CpuConfig,
-        events: &EventParams,
-        workload: Workload,
-    ) -> f64 {
-        self.predict_register_with(config, events, workload, &mut FeatureScratch::new())
-    }
-
-    /// [`LogicPowerModel::predict_register`] with a reusable feature scratch.
+    /// Predicted register power of the whole core in mW: a batch of one
+    /// through the batch path the sweep engine scores.
     pub fn predict_register_with(
         &self,
         config: &CpuConfig,
@@ -251,23 +154,12 @@ impl LogicPowerModel {
         workload: Workload,
         scratch: &mut FeatureScratch,
     ) -> f64 {
-        Component::ALL
-            .iter()
-            .map(|&c| self.predict_register_component_with(c, config, events, workload, scratch))
-            .sum()
+        self.predict_batch_into(&[PredictInput::new(config, events, workload)], scratch);
+        fold_column(&scratch.columns.register, 1, 0)
     }
 
-    /// Predicted combinational power of the whole core in mW.
-    pub fn predict_comb(
-        &self,
-        config: &CpuConfig,
-        events: &EventParams,
-        workload: Workload,
-    ) -> f64 {
-        self.predict_comb_with(config, events, workload, &mut FeatureScratch::new())
-    }
-
-    /// [`LogicPowerModel::predict_comb`] with a reusable feature scratch.
+    /// Predicted combinational power of the whole core in mW: a batch of one
+    /// through the batch path the sweep engine scores.
     pub fn predict_comb_with(
         &self,
         config: &CpuConfig,
@@ -275,50 +167,45 @@ impl LogicPowerModel {
         workload: Workload,
         scratch: &mut FeatureScratch,
     ) -> f64 {
-        Component::ALL
-            .iter()
-            .map(|&c| self.predict_comb_component_with(c, config, events, workload, scratch))
-            .sum()
+        self.predict_batch_into(&[PredictInput::new(config, events, workload)], scratch);
+        fold_column(&scratch.columns.combinational, 1, 0)
     }
 
-    /// Accumulates whole-core register power into `reg_acc` and combinational
-    /// power into `comb_acc` (`reg_acc[i] += P_reg(points[i])`, likewise for
-    /// comb), scoring forest-major: per component, one shared `HW_EVENTS`
-    /// feature matrix feeds the activity ensemble and then the variation
-    /// ensemble over the entire batch, keeping each ensemble's nodes
-    /// cache-resident.  Bit-identical to [`LogicPowerModel::predict_register_with`]
-    /// and [`LogicPowerModel::predict_comb_with`] per point.
+    /// Writes each component's register power `F_reg·F_act` and
+    /// combinational power `F_sta·F_var` at every point into the scratch's
+    /// register and combinational columns, scoring forest-major: per
+    /// component, one shared `HW_EVENTS` feature matrix feeds the activity
+    /// and then the variation ensemble over the entire batch, keeping each
+    /// ensemble's nodes cache-resident.  Each point's hardware row is
+    /// assembled once per component and feeds both ridge models.
     pub(crate) fn predict_batch_into(
         &self,
         points: &[PredictInput<'_>],
         scratch: &mut FeatureScratch,
-        reg_acc: &mut [f64],
-        comb_acc: &mut [f64],
     ) {
-        debug_assert_eq!(points.len(), reg_acc.len());
-        debug_assert_eq!(points.len(), comb_acc.len());
-        if points.is_empty() {
-            return;
-        }
-        let mut ensemble = Vec::with_capacity(points.len());
+        let n = points.len();
+        let FeatureScratch {
+            row,
+            matrix,
+            ensembles: [activity, variation],
+            columns,
+        } = scratch;
+        reset_column(&mut columns.register, n);
+        reset_column(&mut columns.combinational, n);
         for &component in Component::ALL.iter() {
             let m = &self.per_component[component.index()];
-            let matrix = batch_feature_matrix(ModelFeatures::HW_EVENTS, component, points);
-            m.reg_activity.forest().predict_into(&matrix, &mut ensemble);
+            matrix.score_features(ModelFeatures::HW_EVENTS, component, points, |x| {
+                m.reg_activity.forest().predict_into(x, activity);
+                m.comb_variation.forest().predict_into(x, variation);
+            });
+            let at = component.index() * n;
             for (i, p) in points.iter().enumerate() {
-                let row = scratch.row_mut();
+                row.clear();
                 hw_features_into(component, p.config, row);
                 let r = m.reg_hardware.predict(row).max(1.0);
-                reg_acc[i] += r * ensemble[i].max(0.0);
-            }
-            m.comb_variation
-                .forest()
-                .predict_into(&matrix, &mut ensemble);
-            for (i, p) in points.iter().enumerate() {
-                let row = scratch.row_mut();
-                hw_features_into(component, p.config, row);
                 let stable = m.comb_stable.predict(row).max(0.0);
-                comb_acc[i] += stable * ensemble[i].max(0.0);
+                columns.register[at + i] = r * activity[i].max(0.0);
+                columns.combinational[at + i] = stable * variation[i].max(0.0);
             }
         }
     }
@@ -391,6 +278,30 @@ impl LogicPowerModel {
             .iter()
             .flat_map(|c| [&c.reg_activity, &c.comb_variation])
     }
+
+    /// `(F_reg·F_act, F_sta·F_var)` for one component at one point from
+    /// per-row predictions: the reference the batch path is checked against.
+    pub(crate) fn reference_component(
+        &self,
+        component: Component,
+        config: &CpuConfig,
+        events: &EventParams,
+        workload: Workload,
+    ) -> (f64, f64) {
+        let m = &self.per_component[component.index()];
+        let hw = hw_features(component, config);
+        let row = crate::features::model_features(
+            ModelFeatures::HW_EVENTS,
+            component,
+            config,
+            events,
+            workload,
+        );
+        (
+            m.reg_hardware.predict(&hw).max(1.0) * m.reg_activity.predict(&row).max(0.0),
+            m.comb_stable.predict(&hw).max(0.0) * m.comb_variation.predict(&row).max(0.0),
+        )
+    }
 }
 
 #[cfg(test)]
@@ -418,9 +329,11 @@ mod tests {
         let mut preds = Vec::new();
         for run in c.test_runs(&train) {
             truths.push(run.golden.total.logic());
+            let mut scratch = FeatureScratch::new();
+            let (config, events) = (&run.config, &run.sim.events);
             preds.push(
-                model.predict_register(&run.config, &run.sim.events, run.workload)
-                    + model.predict_comb(&run.config, &run.sim.events, run.workload),
+                model.predict_register_with(config, events, run.workload, &mut scratch)
+                    + model.predict_comb_with(config, events, run.workload, &mut scratch),
             );
         }
         let mape = metrics::mape(&truths, &preds);
@@ -434,7 +347,12 @@ mod tests {
         let model = LogicPowerModel::train(&c, &train).unwrap();
         for run in c.training_runs(&train) {
             let truth = run.golden.total.combinational;
-            let pred = model.predict_comb(&run.config, &run.sim.events, run.workload);
+            let pred = model.predict_comb_with(
+                &run.config,
+                &run.sim.events,
+                run.workload,
+                &mut FeatureScratch::new(),
+            );
             assert!(((pred - truth) / truth).abs() < 0.2, "{pred} vs {truth}");
         }
     }
@@ -443,22 +361,17 @@ mod tests {
     fn predictions_are_non_negative() {
         let c = corpus();
         let model = LogicPowerModel::train(&c, &[ConfigId::new(1), ConfigId::new(15)]).unwrap();
-        for run in c.runs() {
-            for comp in Component::ALL {
-                assert!(
-                    model.predict_register_component(
-                        comp,
-                        &run.config,
-                        &run.sim.events,
-                        run.workload
-                    ) >= 0.0
-                );
-                assert!(
-                    model.predict_comb_component(comp, &run.config, &run.sim.events, run.workload)
-                        >= 0.0
-                );
-            }
-        }
+        let points: Vec<_> = c
+            .runs()
+            .iter()
+            .map(|run| PredictInput::new(&run.config, &run.sim.events, run.workload))
+            .collect();
+        let mut scratch = FeatureScratch::new();
+        model.predict_batch_into(&points, &mut scratch);
+        let columns = &scratch.columns;
+        assert_eq!(columns.register.len(), Component::ALL.len() * points.len());
+        assert!(columns.register.iter().all(|&p| p >= 0.0));
+        assert!(columns.combinational.iter().all(|&p| p >= 0.0));
     }
 
     #[test]

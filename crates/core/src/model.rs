@@ -1,7 +1,7 @@
 //! The end-to-end AutoPower model: power group decoupling assembled.
 
 use crate::clock::ClockPowerModel;
-use crate::dataset::{Corpus, RunData};
+use crate::dataset::Corpus;
 use crate::error::AutoPowerError;
 use crate::features::{FeatureScratch, ModelFeatures};
 use crate::logic::LogicPowerModel;
@@ -9,9 +9,8 @@ use crate::power_model::{ModelKind, PowerModel, PredictInput};
 use crate::prediction::{ComponentBreakdown, Prediction};
 use crate::serialize::{decode_library, encode_library};
 use crate::sram::SramPowerModel;
-use autopower_config::{Component, ConfigId, CpuConfig, Workload};
+use autopower_config::{ConfigId, CpuConfig, Workload};
 use autopower_perfsim::EventParams;
-use autopower_powersim::PowerGroups;
 use autopower_techlib::TechLibrary;
 use serde::codec::{Codec, CodecError, Reader, Writer};
 
@@ -70,72 +69,14 @@ impl AutoPower {
         &self.logic
     }
 
-    /// Predicts the per-group power of one `(configuration, workload)` point from
-    /// architecture-level information only.
-    pub fn predict(
-        &self,
-        config: &CpuConfig,
-        events: &EventParams,
-        workload: Workload,
-    ) -> PowerGroups {
-        self.predict_scratch(config, events, workload, &mut FeatureScratch::new())
-    }
-
-    /// [`AutoPower::predict`] with feature rows assembled in a reusable
-    /// scratch — the allocation-free path the batch-inference engines drive.
-    pub fn predict_scratch(
-        &self,
-        config: &CpuConfig,
-        events: &EventParams,
-        workload: Workload,
-        scratch: &mut FeatureScratch,
-    ) -> PowerGroups {
-        PowerGroups {
-            clock: self.clock.predict_with(config, events, workload, scratch),
-            sram: self
-                .sram
-                .predict_with(config, events, workload, &self.library, scratch),
-            register: self
-                .logic
-                .predict_register_with(config, events, workload, scratch),
-            combinational: self
-                .logic
-                .predict_comb_with(config, events, workload, scratch),
-        }
-    }
-
-    /// Predicts the per-group power of one component.
-    pub fn predict_component(
-        &self,
-        component: Component,
-        config: &CpuConfig,
-        events: &EventParams,
-        workload: Workload,
-    ) -> PowerGroups {
-        PowerGroups {
-            clock: self
-                .clock
-                .predict_component(component, config, events, workload),
-            sram: self
-                .sram
-                .predict_component(component, config, events, workload, &self.library),
-            register: self
-                .logic
-                .predict_register_component(component, config, events, workload),
-            combinational: self
-                .logic
-                .predict_comb_component(component, config, events, workload),
-        }
-    }
-
-    /// Convenience: predicts the power of a corpus run from its reported events.
-    pub fn predict_run(&self, run: &RunData) -> PowerGroups {
-        self.predict(&run.config, &run.sim.events, run.workload)
-    }
-
-    /// Predicted total power in mW for one run.
-    pub fn predict_total(&self, run: &RunData) -> f64 {
-        self.predict_run(run).total()
+    /// Writes every component's term of each power group at every point
+    /// into the scratch's columns: each sub-model scores the whole batch
+    /// forest-major, so ~77 ensembles do not alternate per point and evict
+    /// each other from cache.
+    fn score_columns(&self, points: &[PredictInput<'_>], scratch: &mut FeatureScratch) {
+        self.clock.predict_batch_into(points, scratch);
+        self.sram.predict_batch_into(points, &self.library, scratch);
+        self.logic.predict_batch_into(points, scratch);
     }
 }
 
@@ -144,61 +85,35 @@ impl PowerModel for AutoPower {
         ModelKind::AutoPower
     }
 
-    /// Group-resolved: the canonical core-level prediction of the decoupled
-    /// group models.
-    fn predict_with(
-        &self,
-        config: &CpuConfig,
-        events: &EventParams,
-        workload: Workload,
-        scratch: &mut FeatureScratch,
-    ) -> Prediction {
-        Prediction::grouped(self.predict_scratch(config, events, workload, scratch))
-    }
-
-    /// Forest-major batch prediction: every sub-model ensemble scores the
-    /// whole batch before the next one runs, instead of ~77 ensembles
-    /// alternating per point and evicting each other from cache.
-    /// Bit-identical to the per-point default (each sub-model's batch path
-    /// pins that invariant), so the sweep engine batches freely without
-    /// perturbing goldens.
+    /// Group-resolved: each group's component terms folded in
+    /// [`Component::ALL`](autopower_config::Component::ALL) order.
     fn predict_batch_with(
         &self,
         points: &[PredictInput<'_>],
         scratch: &mut FeatureScratch,
         out: &mut Vec<Prediction>,
     ) {
-        let n = points.len();
-        let mut clock = vec![0.0; n];
-        let mut sram = vec![0.0; n];
-        let mut register = vec![0.0; n];
-        let mut combinational = vec![0.0; n];
-        self.clock.predict_batch_into(points, scratch, &mut clock);
-        self.sram
-            .predict_batch_into(points, &self.library, scratch, &mut sram);
-        self.logic
-            .predict_batch_into(points, scratch, &mut register, &mut combinational);
         out.clear();
-        out.reserve(n);
-        for i in 0..n {
-            out.push(Prediction::grouped(PowerGroups {
-                clock: clock[i],
-                sram: sram[i],
-                register: register[i],
-                combinational: combinational[i],
-            }));
+        if points.is_empty() {
+            return;
         }
+        self.score_columns(points, scratch);
+        let n = points.len();
+        out.extend((0..n).map(|i| Prediction::grouped(scratch.columns.core(n, i))));
     }
 
-    /// The per-component detail view (each component fully group-resolved).
+    /// The per-component detail view: the same component terms the core
+    /// groups fold, each component fully group-resolved.
     fn predict_components(
         &self,
         config: &CpuConfig,
         events: &EventParams,
         workload: Workload,
     ) -> Option<ComponentBreakdown> {
+        let mut scratch = FeatureScratch::new();
+        self.score_columns(&[PredictInput::new(config, events, workload)], &mut scratch);
         Some(ComponentBreakdown::from_groups(|component| {
-            self.predict_component(component, config, events, workload)
+            scratch.columns.component(component, 1, 0)
         }))
     }
 
@@ -236,9 +151,10 @@ impl Codec for AutoPower {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dataset::CorpusSpec;
+    use crate::dataset::{CorpusSpec, RunData};
     use crate::evaluation::evaluate_totals;
-    use autopower_config::boom_configs;
+    use autopower_config::{boom_configs, Component};
+    use autopower_powersim::PowerGroups;
 
     fn corpus() -> Corpus {
         let cfgs = boom_configs();
@@ -293,8 +209,9 @@ mod tests {
         let model = AutoPower::train(&c, &[ConfigId::new(1), ConfigId::new(15)]).unwrap();
         let run = c.run(ConfigId::new(8), Workload::Qsort).unwrap();
         let p = model.predict_run(run);
-        assert!((p.total() - (p.clock + p.sram + p.register + p.combinational)).abs() < 1e-12);
-        assert!(p.is_physical());
+        let g = p.groups().unwrap();
+        assert!((p.total() - (g.clock + g.sram + g.register + g.combinational)).abs() < 1e-12);
+        assert!(g.is_physical());
     }
 
     #[test]
@@ -303,11 +220,36 @@ mod tests {
         let model = AutoPower::train(&c, &[ConfigId::new(1), ConfigId::new(15)]).unwrap();
         let run = c.run(ConfigId::new(8), Workload::Vvadd).unwrap();
         let core = model.predict_run(run);
-        let mut sum = PowerGroups::default();
-        for comp in Component::ALL {
-            sum += model.predict_component(comp, &run.config, &run.sim.events, run.workload);
+        let components = model.predict_run_components(run).unwrap();
+        assert_eq!(components.groups(), core.groups());
+    }
+
+    /// One component's groups at one point, from per-row sub-model
+    /// predictions (Eq. 7, Eqs. 9–10, `F_reg·F_act` and `F_sta·F_var`): the
+    /// reference the batch path is checked against.
+    fn reference_component(model: &AutoPower, component: Component, run: &RunData) -> PowerGroups {
+        let (config, events, workload) = (&run.config, &run.sim.events, run.workload);
+        let (register, combinational) = model
+            .logic
+            .reference_component(component, config, events, workload);
+        PowerGroups {
+            clock: model
+                .clock
+                .reference_component(component, config, events, workload),
+            sram: model.sram.reference_component(
+                component,
+                config,
+                events,
+                workload,
+                &model.library,
+            ),
+            register,
+            combinational,
         }
-        assert!((sum.total() - core.total()).abs() < 1e-9);
+    }
+
+    fn bits(g: PowerGroups) -> [u64; 4] {
+        [g.clock, g.sram, g.register, g.combinational].map(f64::to_bits)
     }
 
     #[test]
@@ -317,40 +259,35 @@ mod tests {
         let runs = c.runs();
         let points: Vec<PredictInput<'_>> = runs
             .iter()
-            .map(|run| PredictInput {
-                config: &run.config,
-                events: &run.sim.events,
-                workload: run.workload,
-            })
+            .map(|run| PredictInput::new(&run.config, &run.sim.events, run.workload))
             .collect();
         let mut scratch = FeatureScratch::new();
         let mut batch = Vec::new();
-        PowerModel::predict_batch_with(&model, &points, &mut scratch, &mut batch);
+        model.predict_batch_with(&points, &mut scratch, &mut batch);
         assert_eq!(batch.len(), runs.len());
         for (run, batched) in runs.iter().zip(&batch) {
-            let single = PowerModel::predict_with(
-                &model,
-                &run.config,
-                &run.sim.events,
-                run.workload,
-                &mut scratch,
-            );
-            let (s, b) = (single.groups().unwrap(), batched.groups().unwrap());
-            for (name, sv, bv) in [
-                ("clock", s.clock, b.clock),
-                ("sram", s.sram, b.sram),
-                ("register", s.register, b.register),
-                ("combinational", s.combinational, b.combinational),
-            ] {
+            let mut core = PowerGroups::default();
+            let components = model.predict_run_components(run).unwrap();
+            for component in Component::ALL {
+                let reference = reference_component(&model, component, run);
+                let entry = components.component(component).groups.unwrap();
                 assert_eq!(
-                    sv.to_bits(),
-                    bv.to_bits(),
-                    "{name} drifted on {} {}: {sv} vs {bv}",
+                    bits(entry),
+                    bits(reference),
+                    "{component} drifted on {} {}",
                     run.config.id,
                     run.workload,
                 );
+                core += reference;
             }
-            assert_eq!(single.total().to_bits(), batched.total().to_bits());
+            assert_eq!(
+                bits(batched.groups().unwrap()),
+                bits(core),
+                "core groups drifted on {} {}",
+                run.config.id,
+                run.workload,
+            );
+            assert_eq!(batched.total().to_bits(), core.total().to_bits());
         }
     }
 

@@ -34,6 +34,16 @@
 //! [`PowerModel::predict_components`] — the surface behind the Figs. 7/8
 //! detail experiments.
 //!
+//! # One scoring path
+//!
+//! Each model implements one scoring method,
+//! [`PowerModel::predict_batch_with`], which scores a batch of
+//! [`PredictInput`] points with reusable [`FeatureScratch`] buffers.
+//! [`PowerModel::predict`], [`PowerModel::predict_run`] and
+//! [`PowerModel::predict_total`] score a batch of one, so a point scored alone
+//! and the same point scored inside a sweep chunk or a served batch are one
+//! computation and carry the same bits.
+//!
 //! # Persistence
 //!
 //! Trained models serialize to a registry-tagged text format and load back
@@ -86,6 +96,17 @@ pub struct PredictInput<'a> {
     pub workload: Workload,
 }
 
+impl<'a> PredictInput<'a> {
+    /// One point of a batch.
+    pub fn new(config: &'a CpuConfig, events: &'a EventParams, workload: Workload) -> Self {
+        Self {
+            config,
+            events,
+            workload,
+        }
+    }
+}
+
 /// A trained architecture-level power predictor.
 ///
 /// Object-safe: the inference engines hold `&dyn PowerModel` / `Box<dyn
@@ -93,73 +114,62 @@ pub struct PredictInput<'a> {
 /// registry can train drives the sweep, trace and cross-validation paths.
 /// `Send + Sync` is required so a single trained model can be shared across
 /// the worker threads of the batch-inference pipeline.
+///
+/// Scoring has one path: implementations provide
+/// [`PowerModel::predict_batch_with`], and a single point
+/// ([`PowerModel::predict`]) is a batch of one.
 pub trait PowerModel: fmt::Debug + Send + Sync {
     /// Which registry entry this model was trained as.
     fn kind(&self) -> ModelKind;
 
     /// Predicts the power of one `(configuration, workload)` point from
-    /// architecture-level information only.
+    /// architecture-level information only: a batch of one through
+    /// [`PowerModel::predict_batch_with`].
     ///
     /// The returned [`Prediction`] carries the model's natural resolution:
     /// check [`Prediction::groups`] / [`Prediction::components`] instead of
     /// assuming structure.
     fn predict(&self, config: &CpuConfig, events: &EventParams, workload: Workload) -> Prediction {
-        self.predict_with(config, events, workload, &mut FeatureScratch::new())
+        let mut out = Vec::with_capacity(1);
+        let point = PredictInput::new(config, events, workload);
+        self.predict_batch_with(&[point], &mut FeatureScratch::new(), &mut out);
+        out.pop().expect("a batch of one yields one prediction")
     }
 
-    /// [`PowerModel::predict`] with feature rows assembled in a caller-owned
-    /// [`FeatureScratch`].
-    ///
-    /// This is the method implementations provide and the batch engines call:
-    /// [`SweepEngine`](crate::SweepEngine) / [`sweep_multi`](crate::sweep_multi)
-    /// hand each worker thread one scratch, so scoring a point allocates
-    /// nothing.  The scratch never changes a prediction — it only re-uses row
-    /// storage.
-    fn predict_with(
-        &self,
-        config: &CpuConfig,
-        events: &EventParams,
-        workload: Workload,
-        scratch: &mut FeatureScratch,
-    ) -> Prediction;
-
     /// Predicts a batch of points into `out` (cleared first), one
-    /// [`Prediction`] per input in input order.
+    /// [`Prediction`] per input in input order — the one scoring method
+    /// implementations provide.
     ///
-    /// The default walks [`PowerModel::predict_with`] point by point.  Models
-    /// built from many internal tree ensembles override it to score
-    /// *forest-major* — each ensemble over every point before moving to the
-    /// next ensemble — which keeps an ensemble's nodes cache-hot across the
-    /// whole batch instead of evicting them between points.  Overrides MUST
-    /// be bit-identical to the point-by-point walk; that invariant is what
-    /// lets the sweep engine batch freely without perturbing goldens.
+    /// Models built from many internal tree ensembles score *forest-major*:
+    /// each ensemble over every point before moving to the next ensemble,
+    /// which keeps an ensemble's nodes cache-hot across the whole batch.  A
+    /// point's prediction never depends on the other points of its batch or
+    /// on the scratch's previous contents, so the engines batch freely: the
+    /// [`SweepEngine`](crate::SweepEngine) hands each worker one
+    /// [`FeatureScratch`] and scores a chunk per call.
     fn predict_batch_with(
         &self,
         points: &[PredictInput<'_>],
         scratch: &mut FeatureScratch,
         out: &mut Vec<Prediction>,
-    ) {
-        out.clear();
-        out.reserve(points.len());
-        for p in points {
-            out.push(self.predict_with(p.config, p.events, p.workload, scratch));
-        }
-    }
+    );
 
     /// Predicts per-component power, for models that resolve components
     /// (AutoPower, AutoPower−, McPAT-Calib + Component); `None` otherwise.
     ///
-    /// For models whose [`PowerModel::predict`] is already per-component this
-    /// is the same breakdown; for AutoPower it is the component-level detail
-    /// view behind the Figs. 7/8 experiments (the component sums track, but
-    /// do not bit-identically equal, the canonical core-level prediction).
+    /// The default is the breakdown [`PowerModel::predict`] carries, if any.
+    /// AutoPower predicts core-level groups and overrides this with the
+    /// component-level detail view behind the Figs. 7/8 experiments; its
+    /// component groups, folded in
+    /// [`Component::ALL`](autopower_config::Component::ALL) order, are the
+    /// core-level groups.
     fn predict_components(
         &self,
-        _config: &CpuConfig,
-        _events: &EventParams,
-        _workload: Workload,
+        config: &CpuConfig,
+        events: &EventParams,
+        workload: Workload,
     ) -> Option<ComponentBreakdown> {
-        None
+        self.predict(config, events, workload).components().cloned()
     }
 
     /// Predicts the power of a corpus run from its reported events.

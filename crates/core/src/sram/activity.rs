@@ -7,11 +7,10 @@
 
 use crate::dataset::Corpus;
 use crate::error::AutoPowerError;
-use crate::features::{model_features_into, FeatureScratch, ModelFeatures};
+use crate::features::{model_features_into, ModelFeatures};
 use crate::serialize::{decode_position, encode_position};
-use autopower_config::{ConfigId, CpuConfig, SramPositionId, Workload};
-use autopower_ml::{GradientBoosting, Matrix, Regressor};
-use autopower_perfsim::EventParams;
+use autopower_config::{ConfigId, SramPositionId};
+use autopower_ml::{GradientBoosting, Matrix};
 use serde::codec::{Codec, CodecError, Reader, Writer};
 
 /// Read/write frequency model of one SRAM Position.
@@ -97,11 +96,9 @@ impl SramActivityModel {
         self.feature_mode
     }
 
-    /// Scores a whole feature matrix (rows assembled exactly as
-    /// [`SramActivityModel::predict_with`] assembles them) through the read
-    /// and write ensembles.  Outputs are the *raw* ensemble predictions —
-    /// bit-identical per row to `predict_row` — so the caller applies the
-    /// same `.max(0.0)` clamp the per-point path does.
+    /// Scores a whole feature matrix (one row per point, assembled in this
+    /// model's feature mode) through the read and write ensembles.  Outputs
+    /// are the *raw* ensemble predictions; the caller clamps them at `0.0`.
     pub(crate) fn predict_batch_into(
         &self,
         x: &Matrix,
@@ -110,40 +107,6 @@ impl SramActivityModel {
     ) {
         self.read_model.forest().predict_into(x, reads);
         self.write_model.forest().predict_into(x, writes);
-    }
-
-    /// Predicts `(reads_per_cycle, writes_per_cycle)` per SRAM Block.
-    pub fn predict(
-        &self,
-        config: &CpuConfig,
-        events: &EventParams,
-        workload: Workload,
-    ) -> (f64, f64) {
-        self.predict_with(config, events, workload, &mut FeatureScratch::new())
-    }
-
-    /// [`SramActivityModel::predict`] with a reusable feature scratch (the
-    /// allocation-free batch-inference path).
-    pub fn predict_with(
-        &self,
-        config: &CpuConfig,
-        events: &EventParams,
-        workload: Workload,
-        scratch: &mut FeatureScratch,
-    ) -> (f64, f64) {
-        let row = scratch.row_mut();
-        model_features_into(
-            self.feature_mode,
-            self.position.component,
-            config,
-            events,
-            workload,
-            row,
-        );
-        (
-            self.read_model.predict(row).max(0.0),
-            self.write_model.predict(row).max(0.0),
-        )
     }
 }
 
@@ -184,8 +147,24 @@ impl SramActivityModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dataset::CorpusSpec;
-    use autopower_config::{boom_configs, sram_positions_for, Component};
+    use crate::dataset::{CorpusSpec, RunData};
+    use crate::features::model_features;
+    use autopower_config::{boom_configs, sram_positions_for, Component, Workload};
+
+    /// Clamped per-block read/write frequencies of one run, scored as a batch
+    /// of one.
+    fn predict(m: &SramActivityModel, run: &RunData) -> (f64, f64) {
+        let row = model_features(
+            m.feature_mode(),
+            m.position().component,
+            &run.config,
+            &run.sim.events,
+            run.workload,
+        );
+        let (mut reads, mut writes) = (Vec::new(), Vec::new());
+        m.predict_batch_into(&Matrix::from_rows(&[row]), &mut reads, &mut writes);
+        (reads[0].max(0.0), writes[0].max(0.0))
+    }
 
     fn corpus() -> Corpus {
         let cfgs = boom_configs();
@@ -204,7 +183,7 @@ mod tests {
         let m =
             SramActivityModel::train(pos, &c, &train, ModelFeatures::HW_EVENTS_PROGRAM).unwrap();
         for run in c.runs() {
-            let (r, w) = m.predict(&run.config, &run.sim.events, run.workload);
+            let (r, w) = predict(&m, run);
             assert!(r >= 0.0 && r.is_finite());
             assert!(w >= 0.0 && w.is_finite());
         }
@@ -227,7 +206,7 @@ mod tests {
                 .unwrap();
             let act = run.sim.activity.position(pos).unwrap();
             truth.push(act.reads_per_cycle / block.count as f64);
-            pred.push(m.predict(&run.config, &run.sim.events, run.workload).0);
+            pred.push(predict(&m, run).0);
         }
         // With one held-out configuration and three workloads we only ask for a sane
         // relative error, not a tight one.

@@ -21,7 +21,7 @@ pub use mapping::predicted_block_power_mw;
 
 use crate::dataset::Corpus;
 use crate::error::AutoPowerError;
-use crate::features::{batch_feature_matrix, FeatureScratch, ModelFeatures};
+use crate::features::{fold_column, reset_column, FeatureScratch, ModelFeatures};
 use crate::power_model::PredictInput;
 use autopower_config::{Component, ConfigId, CpuConfig, SramPositionId, Workload};
 use autopower_perfsim::EventParams;
@@ -168,135 +168,8 @@ impl SramPowerModel {
             .map(|m| m.hardware.predict_block(config))
     }
 
-    /// Predicted power of one SRAM Position in mW.
-    ///
-    /// Returns `None` for positions that are not in the catalogue.
-    pub fn predict_position(
-        &self,
-        position: SramPositionId,
-        config: &CpuConfig,
-        events: &EventParams,
-        workload: Workload,
-        library: &TechLibrary,
-    ) -> Option<f64> {
-        self.predict_position_with(
-            position,
-            config,
-            events,
-            workload,
-            library,
-            &mut FeatureScratch::new(),
-        )
-    }
-
-    /// [`SramPowerModel::predict_position`] with a reusable feature scratch
-    /// (the allocation-free batch-inference path).
-    pub fn predict_position_with(
-        &self,
-        position: SramPositionId,
-        config: &CpuConfig,
-        events: &EventParams,
-        workload: Workload,
-        library: &TechLibrary,
-        scratch: &mut FeatureScratch,
-    ) -> Option<f64> {
-        let model = self.position_model(position)?;
-        Some(Self::predict_model_with(
-            model,
-            self.pin_constant_mw,
-            config,
-            events,
-            workload,
-            library,
-            scratch,
-        ))
-    }
-
-    /// Predicted SRAM power of one component in mW (sum over its SRAM Positions).
-    pub fn predict_component(
-        &self,
-        component: Component,
-        config: &CpuConfig,
-        events: &EventParams,
-        workload: Workload,
-        library: &TechLibrary,
-    ) -> f64 {
-        self.predict_component_with(
-            component,
-            config,
-            events,
-            workload,
-            library,
-            &mut FeatureScratch::new(),
-        )
-    }
-
-    /// [`SramPowerModel::predict_component`] with a reusable feature scratch.
-    ///
-    /// Iterates the fitted position models directly (they are stored in
-    /// catalogue order, the same order [`sram_positions_for`](autopower_config::sram_positions_for) yields), so the
-    /// hot sweep path does no per-call catalogue filtering or allocation.
-    pub fn predict_component_with(
-        &self,
-        component: Component,
-        config: &CpuConfig,
-        events: &EventParams,
-        workload: Workload,
-        library: &TechLibrary,
-        scratch: &mut FeatureScratch,
-    ) -> f64 {
-        self.positions
-            .iter()
-            .filter(|m| m.hardware.position().component == component)
-            .map(|m| {
-                Self::predict_model_with(
-                    m,
-                    self.pin_constant_mw,
-                    config,
-                    events,
-                    workload,
-                    library,
-                    scratch,
-                )
-            })
-            .sum()
-    }
-
-    /// Predicted power of one fitted position model in mW.
-    fn predict_model_with(
-        model: &PositionModel,
-        pin_constant_mw: f64,
-        config: &CpuConfig,
-        events: &EventParams,
-        workload: Workload,
-        library: &TechLibrary,
-        scratch: &mut FeatureScratch,
-    ) -> f64 {
-        let block = model.hardware.predict_block(config);
-        let (reads, writes) = model
-            .activity
-            .predict_with(config, events, workload, scratch);
-        mapping::predicted_block_power_mw(&block, reads, writes, pin_constant_mw, library)
-    }
-
-    /// Predicted SRAM power of the whole core in mW.
-    pub fn predict(
-        &self,
-        config: &CpuConfig,
-        events: &EventParams,
-        workload: Workload,
-        library: &TechLibrary,
-    ) -> f64 {
-        self.predict_with(
-            config,
-            events,
-            workload,
-            library,
-            &mut FeatureScratch::new(),
-        )
-    }
-
-    /// [`SramPowerModel::predict`] with a reusable feature scratch.
+    /// Predicted SRAM power of the whole core in mW: a batch of one through
+    /// the batch path the sweep engine scores.
     pub fn predict_with(
         &self,
         config: &CpuConfig,
@@ -305,54 +178,49 @@ impl SramPowerModel {
         library: &TechLibrary,
         scratch: &mut FeatureScratch,
     ) -> f64 {
-        Component::ALL
-            .iter()
-            .map(|&c| self.predict_component_with(c, config, events, workload, library, scratch))
-            .sum()
+        let point = PredictInput::new(config, events, workload);
+        self.predict_batch_into(&[point], library, scratch);
+        fold_column(&scratch.columns.sram, 1, 0)
     }
 
-    /// Accumulates the whole-core SRAM power of every point into `acc`
-    /// (`acc[i] += P_sram(points[i])`), scoring forest-major: per component,
-    /// one shared feature matrix feeds every position's read and write
-    /// ensembles over the entire batch, keeping each ensemble's nodes
-    /// cache-resident.  Bit-identical to [`SramPowerModel::predict_with`] per
-    /// point: per-component subtotals are folded position by position from
-    /// `0.0` and then added to `acc` in [`Component::ALL`] order — exactly the
-    /// nested left-to-right summation of the per-point path.
+    /// Writes each component's SRAM power (Eqs. 9–10, summed over its SRAM
+    /// Positions from `0.0` in catalogue order) at every point into the
+    /// scratch's SRAM column, scoring forest-major: per component, one
+    /// shared feature matrix feeds every position's read and write ensembles
+    /// over the entire batch, keeping each ensemble's nodes cache-resident.
+    /// Components without SRAM positions keep a `0.0` term.
     pub(crate) fn predict_batch_into(
         &self,
         points: &[PredictInput<'_>],
         library: &TechLibrary,
         scratch: &mut FeatureScratch,
-        acc: &mut [f64],
     ) {
-        debug_assert_eq!(points.len(), acc.len());
-        if points.is_empty() {
-            return;
-        }
-        let mut subtotal = vec![0.0; points.len()];
-        let mut reads = Vec::with_capacity(points.len());
-        let mut writes = Vec::with_capacity(points.len());
+        let n = points.len();
+        let FeatureScratch {
+            matrix,
+            ensembles: [reads, writes],
+            columns,
+            ..
+        } = scratch;
+        reset_column(&mut columns.sram, n);
         for &component in Component::ALL.iter() {
-            subtotal.fill(0.0);
-            // Built lazily: components without SRAM positions never pay for
-            // feature assembly.
-            let mut matrix = None;
-            for model in self
+            let mut models = self
                 .positions
                 .iter()
                 .filter(|m| m.hardware.position().component == component)
-            {
-                if model.activity.feature_mode() == self.feature_mode {
-                    let x = matrix.get_or_insert_with(|| {
-                        batch_feature_matrix(self.feature_mode, component, points)
-                    });
-                    model
-                        .activity
-                        .predict_batch_into(x, &mut reads, &mut writes);
+                .peekable();
+            // Components without SRAM positions never pay for feature
+            // assembly.
+            if models.peek().is_none() {
+                continue;
+            }
+            let terms = &mut columns.sram[component.index() * n..][..n];
+            matrix.score_features(self.feature_mode, component, points, |x| {
+                for model in models {
+                    model.activity.predict_batch_into(x, reads, writes);
                     for (i, p) in points.iter().enumerate() {
                         let block = model.hardware.predict_block(p.config);
-                        subtotal[i] += mapping::predicted_block_power_mw(
+                        terms[i] += mapping::predicted_block_power_mw(
                             &block,
                             reads[i].max(0.0),
                             writes[i].max(0.0),
@@ -360,27 +228,8 @@ impl SramPowerModel {
                             library,
                         );
                     }
-                } else {
-                    // A position whose activity model carries a different
-                    // feature mode than the model-level one (only reachable
-                    // through hand-edited serialized models): score it point
-                    // by point on the exact per-point path.
-                    for (i, p) in points.iter().enumerate() {
-                        subtotal[i] += Self::predict_model_with(
-                            model,
-                            self.pin_constant_mw,
-                            p.config,
-                            p.events,
-                            p.workload,
-                            library,
-                            scratch,
-                        );
-                    }
                 }
-            }
-            for (a, s) in acc.iter_mut().zip(&subtotal) {
-                *a += *s;
-            }
+            });
         }
     }
 }
@@ -422,7 +271,22 @@ impl Codec for SramPowerModel {
         let len = r.begin_list("positions")?;
         let mut positions = Vec::with_capacity(len);
         for _ in 0..len {
-            positions.push(PositionModel::decode(r)?);
+            let position = PositionModel::decode(r)?;
+            // Every position is scored from the model-level feature matrix,
+            // so an activity model trained on another feature mode cannot be
+            // served.
+            let mode = position.activity.feature_mode();
+            if mode != feature_mode {
+                return Err(CodecError::new(
+                    r.line(),
+                    format!(
+                        "SRAM position {} has activity feature mode {mode:?}, \
+                         but the SRAM model's feature mode is {feature_mode:?}",
+                        position.hardware.position()
+                    ),
+                ));
+            }
+            positions.push(position);
         }
         r.end()?;
         r.end()?;
@@ -440,13 +304,44 @@ impl SramPowerModel {
     pub(crate) fn boosted(&self) -> impl Iterator<Item = &autopower_ml::GradientBoosting> {
         self.positions.iter().flat_map(|p| p.activity.boosted())
     }
+
+    /// Eqs. 9–10 for one component at one point, summed over its positions
+    /// from per-row predictions: the reference the batch path is checked
+    /// against.
+    pub(crate) fn reference_component(
+        &self,
+        component: Component,
+        config: &CpuConfig,
+        events: &EventParams,
+        workload: Workload,
+        library: &TechLibrary,
+    ) -> f64 {
+        use autopower_ml::Regressor;
+        let row =
+            crate::features::model_features(self.feature_mode, component, config, events, workload);
+        let mut total = 0.0;
+        for m in &self.positions {
+            if m.hardware.position().component != component {
+                continue;
+            }
+            let [read, write] = m.activity.boosted();
+            total += mapping::predicted_block_power_mw(
+                &m.hardware.predict_block(config),
+                read.predict(&row).max(0.0),
+                write.predict(&row).max(0.0),
+                self.pin_constant_mw,
+                library,
+            );
+        }
+        total
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::dataset::CorpusSpec;
-    use autopower_config::{boom_configs, sram_positions_for, Workload};
+    use autopower_config::{boom_configs, Workload};
     use autopower_ml::metrics;
 
     fn corpus() -> Corpus {
@@ -497,7 +392,13 @@ mod tests {
         let mut preds = Vec::new();
         for run in c.test_runs(&train) {
             truths.push(run.golden.total.sram);
-            preds.push(model.predict(&run.config, &run.sim.events, run.workload, c.library()));
+            preds.push(model.predict_with(
+                &run.config,
+                &run.sim.events,
+                run.workload,
+                c.library(),
+                &mut FeatureScratch::new(),
+            ));
         }
         let mape = metrics::mape(&truths, &preds);
         assert!(mape < 0.30, "SRAM power MAPE {mape}");
@@ -521,38 +422,43 @@ mod tests {
         let c = corpus();
         let model = SramPowerModel::train(&c, &[ConfigId::new(1), ConfigId::new(15)]).unwrap();
         let run = c.run(ConfigId::new(8), Workload::Vvadd).unwrap();
-        let by_positions: f64 = sram_positions_for(Component::Ifu)
-            .into_iter()
-            .map(|p| {
-                model
-                    .predict_position(
-                        p.id,
-                        &run.config,
-                        &run.sim.events,
-                        run.workload,
-                        c.library(),
-                    )
-                    .unwrap()
-            })
-            .sum();
-        let by_component = model.predict_component(
+        let point = PredictInput::new(&run.config, &run.sim.events, run.workload);
+        let mut scratch = FeatureScratch::new();
+        model.predict_batch_into(&[point], c.library(), &mut scratch);
+        let term = |component: Component| scratch.columns.sram[component.index()];
+        let by_positions = model.reference_component(
             Component::Ifu,
-            &run.config,
-            &run.sim.events,
-            run.workload,
+            point.config,
+            point.events,
+            point.workload,
             c.library(),
         );
-        assert!((by_positions - by_component).abs() < 1e-9);
-        // Components without SRAM predict exactly zero.
-        assert_eq!(
-            model.predict_component(
-                Component::FuPool,
-                &run.config,
-                &run.sim.events,
-                run.workload,
-                c.library()
-            ),
-            0.0
+        assert!(by_positions > 0.0);
+        assert_eq!(term(Component::Ifu).to_bits(), by_positions.to_bits());
+        // Components without SRAM predict exactly +0.0.
+        assert_eq!(term(Component::FuPool).to_bits(), 0.0f64.to_bits());
+    }
+
+    #[test]
+    fn loading_refuses_a_position_with_another_feature_mode() {
+        use crate::serialize::{decode_model, encode_model};
+        let c = corpus();
+        let model = crate::AutoPower::train(&c, &[ConfigId::new(1), ConfigId::new(15)]).unwrap();
+        let text = encode_model(&model);
+        assert!(decode_model(&text).is_ok());
+        // Hand-edit the first position's activity model to drop the
+        // program-level features the SRAM model's own mode keeps.
+        let at = text.find("sram-activity").unwrap();
+        let flag = at + text[at..].find("program true").unwrap();
+        let edited = format!(
+            "{}program false{}",
+            &text[..flag],
+            &text[flag + "program true".len()..]
+        );
+        let err = decode_model(&edited).unwrap_err();
+        assert!(
+            matches!(&err, AutoPowerError::ModelFormat(message) if message.contains("feature mode")),
+            "{err}"
         );
     }
 

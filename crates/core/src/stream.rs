@@ -1848,10 +1848,10 @@ mod tests {
     mod driver_contract {
         use super::*;
         use crate::features::FeatureScratch;
-        use crate::power_model::PowerModel;
+        use crate::power_model::{PowerModel, PredictInput};
         use crate::surrogate::{surrogate_gbdt_params, ActivitySurrogate, SURROGATE_TRAIN_SEED};
         use crate::sweep::SimBackend;
-        use autopower_perfsim::{EventParams, SimConfig};
+        use autopower_perfsim::SimConfig;
         use serde::codec::Writer;
         use std::panic::{catch_unwind, AssertUnwindSafe};
         use std::sync::OnceLock;
@@ -2047,15 +2047,16 @@ mod tests {
                 self.inner.kind()
             }
 
-            fn predict_with(
+            fn predict_batch_with(
                 &self,
-                config: &CpuConfig,
-                events: &EventParams,
-                workload: Workload,
+                points: &[PredictInput<'_>],
                 scratch: &mut FeatureScratch,
-            ) -> Prediction {
-                assert_ne!(config.id, self.poison, "injected scoring panic");
-                self.inner.predict_with(config, events, workload, scratch)
+                out: &mut Vec<Prediction>,
+            ) {
+                for p in points {
+                    assert_ne!(p.config.id, self.poison, "injected scoring panic");
+                }
+                self.inner.predict_batch_with(points, scratch, out)
             }
 
             fn serialize(&self, w: &mut Writer) {

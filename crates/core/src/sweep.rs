@@ -8,7 +8,7 @@
 //! simulation.  That asymmetry is the paper's whole point, and [`SweepEngine`]
 //! exploits it to score thousands of configurations that were never
 //! synthesized and never power-simulated — under any [`PowerModel`]
-//! implementation, not just [`AutoPower`].
+//! implementation, not just [`AutoPower`](crate::AutoPower).
 //!
 //! The engine cuts its configuration source into bounded chunks and scores
 //! them through one chunk driver, shared by the materializing
@@ -50,7 +50,6 @@
 
 use crate::error::AutoPowerError;
 use crate::features::FeatureScratch;
-use crate::model::AutoPower;
 use crate::pipeline::parallel_map_with;
 use crate::power_model::{PowerModel, PredictInput};
 use crate::prediction::Prediction;
@@ -183,6 +182,8 @@ struct SweepScratch {
     /// audited points, so error accounting never disturbs the exact events
     /// the emitted point is scored from.
     surrogate_events: EventParams,
+    /// Output of each model's batch-of-one call.
+    predictions: Vec<Prediction>,
 }
 
 impl SweepScratch {
@@ -192,6 +193,7 @@ impl SweepScratch {
             features: FeatureScratch::new(),
             events: EventParams::empty(),
             surrogate_events: EventParams::empty(),
+            predictions: Vec::with_capacity(1),
         }
     }
 }
@@ -1026,18 +1028,20 @@ pub fn sweep_multi_with_stats(
                 &mut scratch.events,
             );
             let ipc = counters.ipc();
+            let point = PredictInput::new(&config, &scratch.events, workload);
             models
                 .iter()
-                .map(|model| SweepPoint {
-                    config,
-                    workload,
-                    power: model.predict_with(
-                        &config,
-                        &scratch.events,
+                .map(|model| {
+                    let predictions = &mut scratch.predictions;
+                    model.predict_batch_with(&[point], &mut scratch.features, predictions);
+                    SweepPoint {
+                        config,
                         workload,
-                        &mut scratch.features,
-                    ),
-                    ipc,
+                        power: predictions
+                            .pop()
+                            .expect("a batch of one yields one prediction"),
+                        ipc,
+                    }
                 })
                 .collect::<Vec<_>>()
         },
@@ -1165,25 +1169,11 @@ pub fn config_summary(group: &[SweepPoint]) -> ConfigSummary {
     }
 }
 
-impl AutoPower {
-    /// Batch inference: predicts per-group power (and simulated IPC) for every
-    /// `(configuration, workload)` pair without synthesis or golden power.
-    ///
-    /// Convenience wrapper around [`SweepEngine::run`].
-    pub fn predict_batch(
-        &self,
-        configs: &[CpuConfig],
-        workloads: &[Workload],
-        spec: &SweepSpec,
-    ) -> Vec<SweepPoint> {
-        SweepEngine::new(self, *spec).run(configs, workloads)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::dataset::{Corpus, CorpusSpec};
+    use crate::model::AutoPower;
     use crate::power_model::ModelKind;
     use autopower_config::{boom_configs, ConfigId, DesignSpace};
 
@@ -1202,7 +1192,8 @@ mod tests {
         let model = trained_model();
         let configs = DesignSpace::boom().sample(5, 11);
         let workloads = [Workload::Dhrystone, Workload::Qsort];
-        let points = model.predict_batch(&configs, &workloads, &SweepSpec::fast().threads(1));
+        let points =
+            SweepEngine::new(&model, SweepSpec::fast().threads(1)).run(&configs, &workloads);
         assert_eq!(points.len(), 10);
         for (i, p) in points.iter().enumerate() {
             assert_eq!(p.config, configs[i / 2]);
@@ -1435,7 +1426,7 @@ mod tests {
     fn ragged_summary_input_panics() {
         let model = trained_model();
         let configs = DesignSpace::boom().sample(1, 1);
-        let points = model.predict_batch(&configs, &[Workload::Vvadd], &SweepSpec::fast());
+        let points = SweepEngine::new(&model, SweepSpec::fast()).run(&configs, &[Workload::Vvadd]);
         let _ = summarize(&points, 2);
     }
 

@@ -12,7 +12,8 @@
 //! nothing else, with no group slot to misread.
 
 use crate::dataset::{Corpus, RunData};
-use crate::power_model::PowerModel;
+use crate::features::FeatureScratch;
+use crate::power_model::{PowerModel, PredictInput};
 use crate::prediction::Prediction;
 use autopower_config::{ConfigId, Workload};
 use autopower_powersim::PowerTrace;
@@ -89,20 +90,28 @@ impl<'a> PowerTracePredictor<'a> {
         Self { model }
     }
 
-    /// Predicts the power trace of one run, one sample per simulation interval.
+    /// Predicts the power trace of one run, one sample per simulation
+    /// interval, scoring every interval in one batch.
     pub fn predict_trace(&self, run: &RunData) -> PredictedPowerTrace {
-        let samples = run
-            .sim
-            .intervals
+        let intervals = &run.sim.intervals;
+        let events: Vec<_> = intervals
             .iter()
-            .map(|interval| {
-                let events = run.sim.interval_events(interval);
-                let power = self.model.predict(&run.config, &events, run.workload);
-                PredictedSample {
-                    start_cycle: interval.start_cycle,
-                    cycles: interval.counters.cycles,
-                    power,
-                }
+            .map(|interval| run.sim.interval_events(interval))
+            .collect();
+        let points: Vec<_> = events
+            .iter()
+            .map(|events| PredictInput::new(&run.config, events, run.workload))
+            .collect();
+        let mut powers = Vec::with_capacity(points.len());
+        self.model
+            .predict_batch_with(&points, &mut FeatureScratch::new(), &mut powers);
+        let samples = intervals
+            .iter()
+            .zip(powers)
+            .map(|(interval, power)| PredictedSample {
+                start_cycle: interval.start_cycle,
+                cycles: interval.counters.cycles,
+                power,
             })
             .collect();
         PredictedPowerTrace {

@@ -7,7 +7,7 @@
 
 use crate::report::{format_table, percent};
 use crate::Experiments;
-use autopower::{evaluate_totals, AutoPower, Corpus, CorpusSpec, ModelFeatures};
+use autopower::{evaluate_totals, AutoPower, Corpus, CorpusSpec, ModelFeatures, PowerModel};
 use std::fmt;
 
 /// Result of the ablation study.

@@ -77,6 +77,13 @@ impl Matrix {
         Self { rows, cols, data }
     }
 
+    /// Hands back the flat row-major buffer (the inverse of
+    /// [`Matrix::from_flat`]), so a caller can refill its storage for the
+    /// next matrix instead of allocating a new one.
+    pub fn into_flat(self) -> Vec<f64> {
+        self.data
+    }
+
     /// Number of rows.
     pub fn rows(&self) -> usize {
         self.rows

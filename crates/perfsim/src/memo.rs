@@ -16,6 +16,7 @@
 use crate::events::EventCounters;
 use crate::SimConfig;
 use autopower_config::{CpuConfig, HwParam, Workload};
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::hash::{BuildHasher, Hash, RandomState};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -189,7 +190,10 @@ impl SimCache {
     /// Returns the counters for `key`, running `simulate` on a miss.
     ///
     /// The computation runs outside the shard lock, so concurrent workers are
-    /// never serialized behind a simulation.
+    /// never serialized behind a simulation.  Two workers may therefore both
+    /// simulate one key; the one whose insert creates the entry counts the
+    /// miss and the other counts a hit, so the statistics count one miss per
+    /// stored entry whatever the thread timing.
     pub fn counters_for(
         &self,
         key: SimKey,
@@ -200,13 +204,17 @@ impl SimCache {
             self.hits.fetch_add(1, Ordering::Relaxed);
             return *counters;
         }
-        self.misses.fetch_add(1, Ordering::Relaxed);
         let counters = simulate();
-        shard
-            .lock()
-            .expect("sim cache lock poisoned")
-            .insert(key, counters);
-        counters
+        match shard.lock().expect("sim cache lock poisoned").entry(key) {
+            Entry::Vacant(slot) => {
+                self.misses.fetch_add(1, Ordering::Relaxed);
+                *slot.insert(counters)
+            }
+            Entry::Occupied(entry) => {
+                self.hits.fetch_add(1, Ordering::Relaxed);
+                *entry.get()
+            }
+        }
     }
 
     /// Hit/miss statistics accumulated so far.
@@ -312,6 +320,34 @@ mod tests {
         let first = cache.counters_for(key, || simulate(&cfg, Workload::Median, &sim).counters);
         let second = cache.counters_for(key, || panic!("hit must not simulate"));
         assert_eq!(first, second);
+        assert_eq!(cache.stats(), SimCacheStats { hits: 1, misses: 1 });
+        assert_eq!(cache.len(), 1);
+    }
+
+    #[test]
+    fn a_raced_miss_counts_once_and_the_loser_counts_a_hit() {
+        let cache = SimCache::new();
+        let cfg = boom_configs()[5];
+        let sim = SimConfig::fast();
+        let key = SimKey::new(&cfg, Workload::Median, &sim);
+        let counters = simulate(&cfg, Workload::Median, &sim).counters;
+        // Each thread waits inside `simulate` until both have missed, so
+        // both race to insert the same key.
+        let both_missed = std::sync::Barrier::new(2);
+        let results: Vec<EventCounters> = std::thread::scope(|s| {
+            let workers: Vec<_> = (0..2)
+                .map(|_| {
+                    s.spawn(|| {
+                        cache.counters_for(key, || {
+                            both_missed.wait();
+                            counters
+                        })
+                    })
+                })
+                .collect();
+            workers.into_iter().map(|w| w.join().unwrap()).collect()
+        });
+        assert_eq!(results, vec![counters, counters]);
         assert_eq!(cache.stats(), SimCacheStats { hits: 1, misses: 1 });
         assert_eq!(cache.len(), 1);
     }

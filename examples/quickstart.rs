@@ -3,7 +3,7 @@
 //!
 //! Run with `cargo run --release --example quickstart`.
 
-use autopower::{evaluate_totals, AutoPower, Corpus, CorpusSpec};
+use autopower::{evaluate_totals, AutoPower, Corpus, CorpusSpec, PowerModel};
 use autopower_config::{boom_configs, ConfigId, Workload};
 
 fn main() {

@@ -2,7 +2,7 @@
 //! power prediction, spanning every crate.
 
 use autopower::baselines::McpatCalib;
-use autopower::{evaluate_totals, AutoPower, Corpus, CorpusSpec};
+use autopower::{evaluate_totals, AutoPower, Corpus, CorpusSpec, PowerModel};
 use autopower_config::{boom_configs, ConfigId, Workload};
 use autopower_perfsim::SimConfig;
 
@@ -30,7 +30,7 @@ fn full_flow_end_to_end() {
 
     let test_runs = corpus.test_runs(&train);
     let ours = evaluate_totals(&test_runs, |run| model.predict_total(run));
-    let theirs = evaluate_totals(&test_runs, |run| baseline.predict_run(run));
+    let theirs = evaluate_totals(&test_runs, |run| baseline.predict_total(run));
 
     // Headline claim of the paper, reproduced in shape: the decoupled model is more
     // accurate than the monolithic ML baseline in the few-shot regime.

@@ -1,17 +1,20 @@
-//! Trait-path parity: for every registry model, typed predictions made through
-//! `Box<dyn PowerModel>` are bit-identical to the inherent-method predictions
-//! (totals AND resolved structure), and the model-agnostic engines (sweep,
-//! trace, xval) accept baselines.  These tests pin the acceptance criterion of
-//! the typed-`Prediction` redesign: totals never moved, and no consumer reads
-//! a parked group slot from a total-only model.
+//! Registry parity: for every registry model, typed predictions made through
+//! `Box<dyn PowerModel>` carry the model's resolved structure, the
+//! per-component views match goldens committed before scoring collapsed onto
+//! one batch path, and the model-agnostic engines (sweep, trace, xval) accept
+//! baselines.  Totals are pinned by `tests/training_parity.rs`.
 
 use autopower_repro::config::{boom_configs, Component, ConfigId, DesignSpace, Workload};
-use autopower_repro::model::baselines::{AutoPowerMinus, McpatCalib, McpatCalibComponent};
 use autopower_repro::model::{
-    cross_validate_model, AutoPower, Corpus, CorpusSpec, ModelKind, PowerModel,
-    PowerTracePredictor, Resolution, SweepEngine, SweepSpec,
+    cross_validate_model, AutoPower, Corpus, CorpusSpec, FeatureScratch, ModelKind, PowerModel,
+    PowerTracePredictor, PredictInput, Resolution, SweepEngine, SweepSpec,
 };
+use autopower_repro::perfsim::{simulate_counters_with, EventParams, SimScratch};
 use autopower_repro::powersim::PowerGroups;
+
+/// `predict_components` bits of the three component-resolving models on
+/// [`corpus`], one line per (model, run, component).
+const COMPONENT_GOLDENS: &str = include_str!("data/component_goldens.txt");
 
 fn corpus() -> Corpus {
     let cfgs = boom_configs();
@@ -35,77 +38,92 @@ fn bits(groups: PowerGroups) -> [u64; 4] {
     ]
 }
 
-#[test]
-fn autopower_trait_predictions_are_bit_identical_to_inherent() {
+/// Checks `kind`'s per-component view of every corpus run against the
+/// committed goldens: each entry's total and, where resolved, its groups.
+fn assert_component_view_matches_goldens(kind: ModelKind) {
     let c = corpus();
-    let inherent = AutoPower::train(&c, &train_ids()).unwrap();
+    let model = kind.train(&c, &train_ids()).unwrap();
+    let mut goldens = COMPONENT_GOLDENS
+        .lines()
+        .filter(|line| !line.starts_with('#'))
+        .map(|line| line.split_whitespace().collect::<Vec<_>>())
+        .filter(|fields| fields[0] == kind.registry_name());
+    for run in c.runs() {
+        let breakdown = model.predict_run_components(run).unwrap();
+        for (component, entry) in breakdown.iter() {
+            let fields = goldens
+                .next()
+                .expect("one golden line per run and component");
+            let key = [
+                run.config.id.to_string(),
+                run.workload.to_string(),
+                component.to_string(),
+            ];
+            assert_eq!(fields[1..4], key, "{kind}: goldens out of order");
+            let want: Vec<u64> = fields[4..]
+                .iter()
+                .map(|hex| u64::from_str_radix(hex, 16).unwrap())
+                .collect();
+            let mut got = vec![entry.total.to_bits()];
+            got.extend(entry.groups.map(bits).into_iter().flatten());
+            assert_eq!(got, want, "{kind} drifted on {key:?}");
+        }
+    }
+    assert!(goldens.next().is_none(), "{kind}: unused goldens");
+}
+
+#[test]
+fn autopower_core_groups_fold_the_component_view() {
+    let c = corpus();
     let boxed: Box<dyn PowerModel> = ModelKind::AutoPower.train(&c, &train_ids()).unwrap();
     for run in c.runs() {
         let typed = boxed.predict_run(run);
-        let legacy = inherent.predict_run(run);
         assert!(matches!(typed.resolution(), Resolution::Grouped(_)));
-        assert_eq!(bits(typed.groups().unwrap()), bits(legacy));
-        assert_eq!(typed.total().to_bits(), legacy.total().to_bits());
-        assert_eq!(
-            boxed.predict_total(run).to_bits(),
-            inherent.predict_total(run).to_bits()
-        );
-    }
-}
-
-#[test]
-fn autopower_component_view_matches_inherent_predict_component() {
-    let c = corpus();
-    let inherent = AutoPower::train(&c, &train_ids()).unwrap();
-    let boxed: Box<dyn PowerModel> = ModelKind::AutoPower.train(&c, &train_ids()).unwrap();
-    for run in c.runs() {
-        let breakdown = boxed.predict_run_components(run).unwrap();
-        for component in Component::ALL {
-            let legacy =
-                inherent.predict_component(component, &run.config, &run.sim.events, run.workload);
-            let entry = breakdown.component(component);
-            assert_eq!(bits(entry.groups.unwrap()), bits(legacy));
-            assert_eq!(entry.total.to_bits(), legacy.total().to_bits());
+        // The core groups are the component terms folded in Component::ALL
+        // order.
+        let mut folded = PowerGroups::default();
+        for (_, entry) in boxed.predict_run_components(run).unwrap().iter() {
+            folded += entry.groups.unwrap();
         }
+        assert_eq!(bits(typed.groups().unwrap()), bits(folded));
+        assert_eq!(typed.total().to_bits(), folded.total().to_bits());
+        assert_eq!(boxed.predict_total(run).to_bits(), typed.total().to_bits());
     }
 }
 
 #[test]
-fn autopower_minus_trait_predictions_are_bit_identical_to_inherent() {
+fn autopower_component_view_matches_the_committed_goldens() {
+    assert_component_view_matches_goldens(ModelKind::AutoPower);
+}
+
+#[test]
+fn autopower_minus_component_view_matches_the_committed_goldens() {
+    assert_component_view_matches_goldens(ModelKind::AutoPowerMinus);
     let c = corpus();
-    let inherent = AutoPowerMinus::train(&c, &train_ids()).unwrap();
     let boxed: Box<dyn PowerModel> = ModelKind::AutoPowerMinus.train(&c, &train_ids()).unwrap();
     for run in c.runs() {
-        let typed = boxed.predict_run(run);
-        let legacy = inherent.predict_run(run);
         // AutoPower− is fully component-resolved; its core-level groups are
-        // the Component::ALL-ordered sum — bit-identical to the inherent
-        // accumulation loop.
+        // the Component::ALL-ordered sum of the component groups.
+        let typed = boxed.predict_run(run);
         assert!(matches!(typed.resolution(), Resolution::PerComponent(_)));
-        assert_eq!(bits(typed.groups().unwrap()), bits(legacy));
-        assert_eq!(typed.total().to_bits(), legacy.total().to_bits());
         let breakdown = typed.components().unwrap();
+        assert_eq!(Some(breakdown), boxed.predict_run_components(run).as_ref());
+        let mut folded = PowerGroups::default();
         for component in Component::ALL {
-            let legacy_component =
-                inherent.predict_component(component, &run.config, &run.sim.events, run.workload);
-            assert_eq!(
-                bits(breakdown.component(component).groups.unwrap()),
-                bits(legacy_component)
-            );
+            folded += breakdown.component(component).groups.unwrap();
         }
+        assert_eq!(bits(typed.groups().unwrap()), bits(folded));
     }
 }
 
 #[test]
-fn mcpat_calib_trait_totals_are_bit_identical_to_inherent() {
+fn mcpat_calib_predictions_are_total_only() {
     let c = corpus();
-    let inherent = McpatCalib::train(&c, &train_ids()).unwrap();
     let boxed: Box<dyn PowerModel> = ModelKind::McpatCalib.train(&c, &train_ids()).unwrap();
     for run in c.runs() {
+        // The typed prediction carries the scalar as TotalOnly — no group
+        // structure to misread.
         let typed = boxed.predict_run(run);
-        // The inherent API predicts a scalar; the typed prediction carries it
-        // as TotalOnly — same bits, and no group structure to misread.
-        assert_eq!(typed.total().to_bits(), inherent.predict_run(run).to_bits());
         assert!(matches!(typed.resolution(), Resolution::TotalOnly));
         assert!(typed.groups().is_none());
         assert!(typed.components().is_none());
@@ -114,47 +132,55 @@ fn mcpat_calib_trait_totals_are_bit_identical_to_inherent() {
 }
 
 #[test]
-fn mcpat_calib_component_trait_totals_are_bit_identical_to_inherent() {
+fn mcpat_calib_component_view_matches_the_committed_goldens() {
+    assert_component_view_matches_goldens(ModelKind::McpatCalibComponent);
     let c = corpus();
-    let inherent = McpatCalibComponent::train(&c, &train_ids()).unwrap();
     let boxed: Box<dyn PowerModel> = ModelKind::McpatCalibComponent
         .train(&c, &train_ids())
         .unwrap();
     for run in c.runs() {
-        let typed = boxed.predict_run(run);
-        assert_eq!(typed.total().to_bits(), inherent.predict_run(run).to_bits());
         // Component-resolved but without per-component groups: each entry
-        // carries the inherent per-component scalar, no group split.
+        // carries the component's scalar, no group split.
+        let typed = boxed.predict_run(run);
         assert!(typed.groups().is_none());
         let breakdown = typed.components().unwrap();
         assert!(!breakdown.resolves_groups());
-        for component in Component::ALL {
-            let entry = breakdown.component(component);
-            assert!(entry.groups.is_none());
-            assert_eq!(
-                entry.total.to_bits(),
-                inherent
-                    .predict_component(component, &run.config, &run.sim.events, run.workload)
-                    .to_bits()
-            );
-        }
+        assert!(breakdown.iter().all(|(_, entry)| entry.groups.is_none()));
+        assert_eq!(Some(breakdown), boxed.predict_run_components(run).as_ref());
     }
 }
 
 #[test]
 fn sweep_engine_under_dyn_autopower_matches_predict_batch() {
     let c = corpus();
-    let inherent = AutoPower::train(&c, &train_ids()).unwrap();
     let boxed: Box<dyn PowerModel> = ModelKind::AutoPower.train(&c, &train_ids()).unwrap();
     let configs = DesignSpace::boom().sample(6, 7);
     let workloads = [Workload::Dhrystone, Workload::Vvadd];
     let spec = SweepSpec::fast().threads(1);
-    // The default AutoPower sweep path is bit-identical before and after the
-    // trait refactor: `predict_batch` (inherent convenience) and a
-    // `SweepEngine` over the boxed trait object score the same points.
-    let via_inherent = inherent.predict_batch(&configs, &workloads, &spec);
-    let via_trait = SweepEngine::new(boxed.as_ref(), spec).run(&configs, &workloads);
-    assert_eq!(via_inherent, via_trait);
+    // The engine's exact path scores what the model's own batch method
+    // scores on the simulated events of every pair.
+    let swept = SweepEngine::new(boxed.as_ref(), spec).run(&configs, &workloads);
+    let mut sim = SimScratch::new();
+    let events: Vec<EventParams> = configs
+        .iter()
+        .flat_map(|config| workloads.iter().map(move |&w| (config, w)))
+        .map(|(config, w)| {
+            let counters = simulate_counters_with(config, w, &spec.sim, &mut sim);
+            EventParams::from_counters(&counters, config.id, w, spec.sim.event_distortion)
+        })
+        .collect();
+    let points: Vec<PredictInput<'_>> = swept
+        .iter()
+        .zip(&events)
+        .map(|(p, e)| PredictInput::new(&p.config, e, p.workload))
+        .collect();
+    let mut batch = Vec::new();
+    boxed.predict_batch_with(&points, &mut FeatureScratch::new(), &mut batch);
+    assert_eq!(swept.len(), configs.len() * workloads.len());
+    for (point, predicted) in swept.iter().zip(&batch) {
+        assert_eq!(point.power, *predicted);
+        assert_eq!(point.power.total().to_bits(), predicted.total().to_bits());
+    }
 }
 
 #[test]

@@ -2,7 +2,7 @@
 //! worker pool must be bit-identical to the serial one, at every layer of the run
 //! data, and downstream training must not observe any difference.
 
-use autopower::{AutoPower, Corpus, CorpusSpec};
+use autopower::{AutoPower, Corpus, CorpusSpec, PowerModel};
 use autopower_config::{boom_configs, ConfigId, Workload};
 use autopower_perfsim::SimConfig;
 

@@ -10,7 +10,10 @@
 
 use autopower_repro::config::{boom_configs, ConfigId, Workload};
 use autopower_repro::ml::{GbdtParams, GradientBoosting, Matrix, Regressor};
-use autopower_repro::model::{Corpus, CorpusSpec, ModelKind};
+use autopower_repro::model::{
+    Corpus, CorpusSpec, FeatureScratch, ModelKind, PredictInput, Prediction,
+};
+use autopower_repro::powersim::PowerGroups;
 
 /// `predict_total` bits of every registry model over every run of the
 /// standard fast corpus (3 configs × 3 workloads, trained on C1+C15),
@@ -126,20 +129,46 @@ fn flat_forest_serves_the_same_bits_as_the_recursive_reference() {
     }
 }
 
+/// Every float a prediction carries, as bits: the total, the core groups and
+/// each component's total and groups.
+fn prediction_bits(p: &Prediction) -> Vec<u64> {
+    let mut bits = vec![p.total().to_bits()];
+    let groups = |g: PowerGroups| [g.clock, g.sram, g.register, g.combinational];
+    bits.extend(p.groups().into_iter().flat_map(groups).map(f64::to_bits));
+    for (_, entry) in p.components().into_iter().flat_map(|b| b.iter()) {
+        bits.push(entry.total.to_bits());
+        bits.extend(entry.groups.into_iter().flat_map(groups).map(f64::to_bits));
+    }
+    bits
+}
+
 #[test]
-fn scratch_threaded_predictions_match_the_scratch_free_path() {
-    use autopower_repro::model::FeatureScratch;
+fn one_batch_of_all_runs_matches_each_run_scored_as_a_batch_of_one() {
     let c = corpus();
     let train = [ConfigId::new(1), ConfigId::new(15)];
+    let points: Vec<PredictInput<'_>> = c
+        .runs()
+        .iter()
+        .map(|run| PredictInput::new(&run.config, &run.sim.events, run.workload))
+        .collect();
+    // One scratch shared across every model and call: neither reuse nor the
+    // rest of the batch ever changes a prediction.
     let mut scratch = FeatureScratch::new();
+    let (mut batch, mut single) = (Vec::new(), Vec::new());
     for kind in ModelKind::ALL {
         let model = kind.train(&c, &train).unwrap();
-        for run in c.runs() {
-            // One shared scratch across every run and model: reuse never
-            // changes a prediction.
-            let with = model.predict_with(&run.config, &run.sim.events, run.workload, &mut scratch);
-            let without = model.predict(&run.config, &run.sim.events, run.workload);
-            assert_eq!(with, without, "{kind} scratch reuse changed a prediction");
+        model.predict_batch_with(&points, &mut scratch, &mut batch);
+        assert_eq!(batch.len(), points.len(), "{kind}");
+        for (point, batched) in points.iter().zip(&batch) {
+            model.predict_batch_with(std::slice::from_ref(point), &mut scratch, &mut single);
+            assert_eq!(single.len(), 1, "{kind}");
+            assert_eq!(
+                prediction_bits(&single[0]),
+                prediction_bits(batched),
+                "{kind} scored {} {} differently alone",
+                point.config.id,
+                point.workload
+            );
         }
     }
 }
