@@ -42,6 +42,11 @@
 //! is saved without ever holding its whole text.  The [`Reader`] walks the
 //! text lazily, one line at a time, and splits each line into tokens on
 //! demand.
+//!
+//! Text that does not change between encodes need not be formatted again:
+//! [`Writer::capture`] keeps a copy of the lines it writes as a [`Fragment`],
+//! and [`Writer::splice`] copies those lines verbatim into any writer at the
+//! same depth — the same bytes the writer would have produced itself.
 
 use std::error::Error;
 use std::fmt::{self, Write as _};
@@ -121,6 +126,26 @@ pub struct Writer<'s> {
     sink: Option<Sink<'s>>,
 }
 
+/// Lines a [`Writer::capture`] wrote `depth` scopes deep, ready to be
+/// [`Writer::splice`]d into any writer at that same depth.
+#[derive(Debug, Clone)]
+pub struct Fragment {
+    depth: usize,
+    text: String,
+}
+
+impl Fragment {
+    /// The scope depth the lines were rendered at.
+    pub fn depth(&self) -> usize {
+        self.depth
+    }
+
+    /// The rendered lines, each ending in a newline.
+    pub fn as_str(&self) -> &str {
+        &self.text
+    }
+}
+
 /// Where a streaming [`Writer`] spills its buffer, and the first error the
 /// sink returned (after which it is never written to again).
 struct Sink<'s> {
@@ -159,8 +184,14 @@ impl Default for Writer<'static> {
 impl Writer<'static> {
     /// Creates an empty in-memory writer.
     pub fn new() -> Self {
+        Self::with_capacity(0)
+    }
+
+    /// Creates an empty in-memory writer whose buffer holds `bytes` before
+    /// it first grows.
+    pub fn with_capacity(bytes: usize) -> Self {
         Self {
-            out: String::new(),
+            out: String::with_capacity(bytes),
             depth: 0,
             sink: None,
         }
@@ -191,6 +222,10 @@ impl<'s> Writer<'s> {
     /// Ends a line, spilling the buffer once a streaming writer has filled it.
     fn newline(&mut self) {
         self.out.push('\n');
+        self.spill_if_full();
+    }
+
+    fn spill_if_full(&mut self) {
         if let Some(sink) = &mut self.sink {
             if self.out.len() >= SPILL_BYTES {
                 sink.spill(&mut self.out);
@@ -302,6 +337,49 @@ impl<'s> Writer<'s> {
             self.f64("v", v);
         }
         self.end();
+    }
+
+    /// The number of scopes open around the next line.
+    pub fn depth(&self) -> usize {
+        self.depth
+    }
+
+    /// Writes what `render` writes and returns a copy of those lines, to
+    /// [`Writer::splice`] into later writers at the same depth.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `render` leaves the writer at another depth than it found
+    /// it (a scope left open, or one closed that it did not open).
+    pub fn capture(&mut self, render: impl FnOnce(&mut Self)) -> Fragment {
+        let (start, depth) = (self.out.len(), self.depth);
+        // No spills while rendering, so the captured lines stay buffered.
+        let sink = self.sink.take();
+        render(self);
+        self.sink = sink;
+        assert_eq!(self.depth, depth, "capture() of unbalanced scopes");
+        let fragment = Fragment {
+            depth,
+            text: self.out[start..].to_owned(),
+        };
+        self.spill_if_full();
+        fragment
+    }
+
+    /// Appends `fragment`'s lines verbatim: exactly the bytes this writer
+    /// would have produced rendering the same values itself.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the fragment was captured at a depth other than this
+    /// writer's [`Writer::depth`].
+    pub fn splice(&mut self, fragment: &Fragment) {
+        assert_eq!(
+            fragment.depth, self.depth,
+            "splice() of a fragment captured at another depth"
+        );
+        self.out.push_str(&fragment.text);
+        self.spill_if_full();
     }
 
     /// Finishes an in-memory stream and returns the text.
@@ -625,14 +703,8 @@ mod tests {
         0x3FD5_5555_5555_5555,
     ];
 
-    /// One of each scalar line at nesting `depth`, written by `w`, and the
-    /// text the oracle renders for it.
-    fn scalars_at_depth(w: &mut Writer, depth: usize, value: f64, n: u64) -> String {
-        let mut expected = String::new();
-        for level in 0..depth {
-            w.begin("scope");
-            expected += &oracle::line(level, &oracle::begin("scope"));
-        }
+    /// One of each scalar line, at the writer's current depth.
+    fn scalar_lines(w: &mut Writer, value: f64, n: u64) {
         w.f64("x", value);
         w.u64("n", n);
         w.u64("max", u64::MAX);
@@ -640,6 +712,27 @@ mod tests {
         w.bool("no", false);
         w.str("name", "mcpat-calib");
         w.f64_seq("v", &[value, -value]);
+    }
+
+    /// One of each scalar line at nesting `depth`, written by `w` (directly,
+    /// or captured by another writer at that depth and spliced), and the
+    /// text the oracle renders for it.
+    fn scalars_at_depth(w: &mut Writer, depth: usize, value: f64, n: u64, spliced: bool) -> String {
+        let mut expected = String::new();
+        let mut donor = Writer::new();
+        for level in 0..depth {
+            w.begin("scope");
+            donor.begin("scope");
+            expected += &oracle::line(level, &oracle::begin("scope"));
+        }
+        if spliced {
+            let fragment = donor.capture(|donor| scalar_lines(donor, value, n));
+            assert_eq!(fragment.depth(), depth);
+            w.splice(&fragment);
+        } else {
+            scalar_lines(w, value, n);
+            scalar_lines(&mut donor, value, n);
+        }
         for content in [
             oracle::f64("x", value),
             oracle::u64("n", n),
@@ -657,14 +750,17 @@ mod tests {
         expected += &oracle::line(depth, "}");
         for level in (0..depth).rev() {
             w.end();
+            donor.end();
             expected += &oracle::line(level, "}");
         }
+        // Capturing writes the lines through as well.
+        assert_eq!(donor.finish(), expected);
         expected
     }
 
-    fn assert_matches_oracle(value: f64, n: u64, depth: usize) {
+    fn assert_matches_oracle(value: f64, n: u64, depth: usize, spliced: bool) {
         let mut w = Writer::new();
-        let expected = scalars_at_depth(&mut w, depth, value, n);
+        let expected = scalars_at_depth(&mut w, depth, value, n, spliced);
         assert_eq!(w.finish(), expected, "bits {:016X}", value.to_bits());
     }
 
@@ -672,7 +768,9 @@ mod tests {
     fn edge_values_render_exactly_like_the_format_oracle() {
         for bits in EDGE_BITS {
             for depth in 0..=6 {
-                assert_matches_oracle(f64::from_bits(bits), u64::MAX - bits, depth);
+                for spliced in [false, true] {
+                    assert_matches_oracle(f64::from_bits(bits), u64::MAX - bits, depth, spliced);
+                }
             }
         }
     }
@@ -683,12 +781,30 @@ mod tests {
             bits in 0u64..u64::MAX,
             n in 0u64..u64::MAX,
             depth in 0usize..7,
+            spliced in 0u8..2,
         ) {
             let value = f64::from_bits(bits);
             let mut w = Writer::new();
-            let expected = scalars_at_depth(&mut w, depth, value, n);
+            let expected = scalars_at_depth(&mut w, depth, value, n, spliced == 1);
             prop_assert_eq!(w.finish(), expected);
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "another depth")]
+    fn a_fragment_cannot_be_spliced_at_another_depth() {
+        let mut donor = Writer::new();
+        donor.begin("scope");
+        let fragment = donor.capture(|w| w.u64("n", 1));
+        let mut w = Writer::new();
+        w.splice(&fragment);
+    }
+
+    #[test]
+    #[should_panic(expected = "unbalanced scopes")]
+    fn a_capture_must_close_the_scopes_it_opens() {
+        let mut w = Writer::new();
+        let _ = w.capture(|w| w.begin("scope"));
     }
 
     /// How each probe line decoded before the reader stopped collecting
@@ -873,6 +989,35 @@ mod tests {
         assert_eq!(disk.bytes, text.as_bytes());
         assert!(disk.writes > 5);
         assert!(disk.largest_write < SPILL_BYTES + 256);
+    }
+
+    #[test]
+    fn streaming_captures_and_splices_write_the_in_memory_bytes() {
+        let mut direct = Writer::new();
+        direct.begin("docs");
+        for i in 0..3 {
+            direct.u64("i", i);
+            big_document(&mut direct);
+        }
+        direct.end();
+        let text = direct.finish();
+
+        // The first document is captured (a streaming writer holds its
+        // spills back meanwhile), the other two are spliced copies of it.
+        let mut disk = FullDisk::new(usize::MAX);
+        let mut w = Writer::streaming(&mut disk);
+        w.begin("docs");
+        w.u64("i", 0);
+        let fragment = w.capture(big_document);
+        for i in 1..3 {
+            w.u64("i", i);
+            w.splice(&fragment);
+        }
+        w.end();
+        w.finish_streaming().unwrap();
+        assert_eq!(disk.bytes, text.as_bytes());
+        assert!(disk.writes > 3);
+        assert!(disk.largest_write < SPILL_BYTES + fragment.as_str().len() + 256);
     }
 
     #[test]

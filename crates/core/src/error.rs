@@ -51,6 +51,10 @@ pub enum AutoPowerError {
         /// Workloads per configuration the sweep scores.
         sweep: usize,
     },
+    /// Pareto feasibility constraints failed
+    /// [`ParetoConstraints::validate`](crate::ParetoConstraints::validate);
+    /// carries its description of the offending bound.
+    InvalidConstraints(String),
 }
 
 impl fmt::Display for AutoPowerError {
@@ -114,6 +118,9 @@ impl fmt::Display for AutoPowerError {
                 "the aggregator folds {aggregator} workload(s) per configuration \
                  but the sweep scores {sweep}"
             ),
+            AutoPowerError::InvalidConstraints(message) => {
+                write!(f, "invalid pareto constraints: {message}")
+            }
         }
     }
 }

@@ -31,6 +31,28 @@
 //! count.  While a sketch has never compacted (the common case below ~10k
 //! points per series at the default capacity) its quantiles are *exact* and
 //! match the materialized report's nearest-rank table.
+//!
+//! # Checkpoint text cache
+//!
+//! A sweep checkpoints after every chunk, and most of what it writes has not
+//! changed since the last save: Pareto members and top-k entries never change
+//! once admitted, and a sketch level only grows at its end until a
+//! compaction empties it, so every full segment of a level (a run of
+//! `level_capacity / 16` values) keeps its values until then.  Each such
+//! entry and segment keeps its rendered codec text beside it — filled on its
+//! first encode, spliced verbatim on every later one — so a save formats only
+//! each level's last, partial segment, the counters, the cursor and the audit
+//! block.  The invariant that keeps every byte unchanged:
+//!
+//! * the cached text is a pure function of the entry and the writer depth it
+//!   was rendered at; a writer at another depth (an aggregator encoded
+//!   outside a checkpoint) formats the entry directly and caches nothing;
+//! * the cache is shared across clones (an `Arc`-shared, lazily filled cell,
+//!   so a clone handed to [`save_checkpoint`] fills the original's cache and
+//!   a clone costs a refcount per entry), and a compaction drops the
+//!   emptied level's segment caches in the copy it empties, never a clone's;
+//! * `PartialEq` and `Debug` ignore the cache, so a decoded (cold)
+//!   aggregator equals the live one it was saved from.
 
 use crate::error::AutoPowerError;
 use crate::serialize::{decode_config, encode_config};
@@ -38,13 +60,58 @@ use crate::surrogate::AuditAccumulator;
 use crate::sweep::{config_summary, efficiency_sort_key, ConfigSummary, SweepEngine, SweepPoint};
 use autopower_config::{CpuConfig, HwParam, Workload};
 use autopower_powersim::PowerGroups;
-use serde::codec::{Codec, CodecError, Reader, Writer};
+use serde::codec::{Codec, CodecError, Fragment, Reader, Writer};
 use std::cmp::Ordering;
+use std::fmt;
 use std::path::{Path, PathBuf};
+use std::sync::{Arc, OnceLock};
 
 /// Version tag of the checkpoint format; bumped on layout changes so a stale
 /// file fails loudly instead of deserializing garbage.
 pub const CHECKPOINT_FORMAT_VERSION: u64 = 1;
+
+// ---------------------------------------------------------------------------
+// Checkpoint text cache
+// ---------------------------------------------------------------------------
+
+/// The codec text of one retained entry, rendered on its first encode and
+/// spliced on every later one at the same writer depth (see the module
+/// docs).  Clones share the cell.
+#[derive(Clone, Default)]
+struct TextCache(Arc<OnceLock<Fragment>>);
+
+impl TextCache {
+    /// Writes what `render` writes: formatted and captured into the cache on
+    /// first use, spliced from it when the writer is at the depth it was
+    /// captured at, formatted directly otherwise.
+    fn write(&self, w: &mut Writer, render: impl FnOnce(&mut Writer)) {
+        match self.0.get() {
+            Some(fragment) if fragment.depth() == w.depth() => w.splice(fragment),
+            Some(_) => render(w),
+            // Should a clone on another thread fill the cell first, `set`
+            // keeps that text: a pure function of the same entry too.
+            None => {
+                let _ = self.0.set(w.capture(render));
+            }
+        }
+    }
+
+    /// Bytes of cached text, `None` while nothing is cached.
+    fn len(&self) -> Option<usize> {
+        self.0.get().map(|fragment| fragment.as_str().len())
+    }
+}
+
+/// Per-line bytes assumed for level values not yet cached when sizing a
+/// checkpoint's buffer (a value line is ~52 bytes).
+const LINE_BYTES: usize = 64;
+
+/// Bytes assumed for a top-k or Pareto entry not yet cached (~920 bytes).
+const ENTRY_BYTES: usize = 1024;
+
+/// Bytes assumed for everything else in a checkpoint: header, counters,
+/// cursor, constraints and the audit block (~2.3 KB).
+const FIXED_BYTES: usize = 4096;
 
 // ---------------------------------------------------------------------------
 // Quantile sketches
@@ -66,9 +133,88 @@ pub const CHECKPOINT_FORMAT_VERSION: u64 = 1;
 #[derive(Debug, Clone, PartialEq)]
 pub struct QuantileSketch {
     level_capacity: usize,
-    levels: Vec<Vec<f64>>,
+    levels: Vec<Level>,
     compactions: Vec<u64>,
     count: u64,
+}
+
+/// Values per cached text segment of a sketch level: a level holds at most
+/// 16 full segments (64 values each at the default capacity, so the 512
+/// values a compaction promotes fill eight of them exactly).
+fn segment_len(level_capacity: usize) -> usize {
+    (level_capacity / 16).max(1)
+}
+
+/// The retained values of one sketch level, plus one text cache per full
+/// segment of them (see the module docs).  `Debug` and `PartialEq` see the
+/// values alone.
+#[derive(Clone, Default)]
+struct Level {
+    values: Vec<f64>,
+    segments: Vec<TextCache>,
+}
+
+impl Level {
+    fn new(values: Vec<f64>, segment: usize) -> Self {
+        let mut level = Self {
+            values,
+            segments: Vec::new(),
+        };
+        level.seal(segment);
+        level
+    }
+
+    /// Gives every full segment a cache and drops the caches of segments
+    /// the values no longer fill (all of them once a compaction empties the
+    /// level).  Runs on every insert, so growth avoids a division.
+    fn seal(&mut self, segment: usize) {
+        while (self.segments.len() + 1) * segment <= self.values.len() {
+            self.segments.push(TextCache::default());
+        }
+        if self.segments.len() * segment > self.values.len() {
+            self.segments.truncate(self.values.len() / segment);
+        }
+    }
+
+    /// Writes the level as a `values` list: full segments through their
+    /// caches, the partial last one directly.
+    fn encode(&self, w: &mut Writer, segment: usize) {
+        w.begin_list("values", self.values.len());
+        for (values, text) in self.values.chunks(segment).zip(&self.segments) {
+            text.write(w, |w| {
+                for &v in values {
+                    w.f64("v", v);
+                }
+            });
+        }
+        for &v in &self.values[self.segments.len() * segment..] {
+            w.f64("v", v);
+        }
+        w.end();
+    }
+
+    /// Bytes the level adds to a checkpoint, estimated (see
+    /// [`encode_checkpoint`]).
+    fn text_len_hint(&self, segment: usize) -> usize {
+        let (cached, bytes) = self
+            .segments
+            .iter()
+            .filter_map(TextCache::len)
+            .fold((0, 0), |(n, bytes), len| (n + 1, bytes + len));
+        bytes + (self.values.len() - cached * segment + 3) * LINE_BYTES
+    }
+}
+
+impl fmt::Debug for Level {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.values.fmt(f)
+    }
+}
+
+impl PartialEq for Level {
+    fn eq(&self, other: &Self) -> bool {
+        self.values == other.values
+    }
 }
 
 impl QuantileSketch {
@@ -82,32 +228,44 @@ impl QuantileSketch {
         assert!(level_capacity >= 8, "sketch level capacity must be >= 8");
         Self {
             level_capacity,
-            levels: vec![Vec::new()],
+            levels: vec![Level::default()],
             compactions: vec![0],
             count: 0,
         }
     }
 
+    fn segment(&self) -> usize {
+        segment_len(self.level_capacity)
+    }
+
     /// Folds one value into the sketch.
     pub fn insert(&mut self, value: f64) {
         self.count += 1;
-        self.levels[0].push(value);
-        if self.levels[0].len() >= self.level_capacity {
+        let segment = self.segment();
+        let level = &mut self.levels[0];
+        level.values.push(value);
+        level.seal(segment);
+        if level.values.len() >= self.level_capacity {
             self.compact(0);
         }
     }
 
     fn compact(&mut self, level: usize) {
+        let segment = self.segment();
         if self.levels.len() == level + 1 {
-            self.levels.push(Vec::new());
+            self.levels.push(Level::default());
             self.compactions.push(0);
         }
         let parity = (self.compactions[level] % 2) as usize;
         self.compactions[level] += 1;
-        let mut buf = std::mem::take(&mut self.levels[level]);
+        let mut buf = std::mem::take(&mut self.levels[level].values);
+        self.levels[level].seal(segment);
         buf.sort_by(f64::total_cmp);
-        self.levels[level + 1].extend(buf.iter().copied().skip(parity).step_by(2));
-        if self.levels[level + 1].len() >= self.level_capacity {
+        let next = &mut self.levels[level + 1];
+        next.values
+            .extend(buf.iter().copied().skip(parity).step_by(2));
+        next.seal(segment);
+        if next.values.len() >= self.level_capacity {
             self.compact(level + 1);
         }
     }
@@ -120,7 +278,7 @@ impl QuantileSketch {
     /// Number of values currently retained across all levels (the memory
     /// bound).
     pub fn retained(&self) -> usize {
-        self.levels.iter().map(Vec::len).sum()
+        self.levels.iter().map(|level| level.values.len()).sum()
     }
 
     /// Whether the sketch still holds every inserted value, making
@@ -140,9 +298,9 @@ impl QuantileSketch {
             return None;
         }
         let mut weighted: Vec<(f64, u64)> = Vec::with_capacity(self.retained());
-        for (level, values) in self.levels.iter().enumerate() {
+        for (level, retained) in self.levels.iter().enumerate() {
             let weight = 1u64 << level;
-            weighted.extend(values.iter().map(|&v| (v, weight)));
+            weighted.extend(retained.values.iter().map(|&v| (v, weight)));
         }
         weighted.sort_by(|a, b| a.0.total_cmp(&b.0));
         let total: u64 = weighted.iter().map(|&(_, w)| w).sum();
@@ -170,7 +328,7 @@ impl Codec for QuantileSketch {
         w.end();
         w.begin_list("levels", self.levels.len());
         for level in &self.levels {
-            w.f64_seq("values", level);
+            level.encode(w, self.segment());
         }
         w.end();
         w.end();
@@ -197,7 +355,10 @@ impl Codec for QuantileSketch {
         let n_levels = r.begin_list("levels")?;
         let mut levels = Vec::with_capacity(n_levels);
         for _ in 0..n_levels {
-            levels.push(r.f64_seq("values")?);
+            levels.push(Level::new(
+                r.f64_seq("values")?,
+                segment_len(level_capacity),
+            ));
         }
         r.end()?;
         r.end()?;
@@ -394,9 +555,25 @@ pub struct ParetoEntry {
 /// everywhere else is dominated — so exact ties keep the **first-seen**
 /// configuration, making the frontier deterministic in stream order.
 /// Configurations with a non-finite objective are skipped.
-#[derive(Debug, Clone, PartialEq, Default)]
+#[derive(Clone, Default)]
 pub struct ParetoFrontier {
     entries: Vec<ParetoEntry>,
+    /// One text cache per entry, in step with `entries`.
+    texts: Vec<TextCache>,
+}
+
+impl fmt::Debug for ParetoFrontier {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("ParetoFrontier")
+            .field("entries", &self.entries)
+            .finish()
+    }
+}
+
+impl PartialEq for ParetoFrontier {
+    fn eq(&self, other: &Self) -> bool {
+        self.entries == other.entries
+    }
 }
 
 /// Whether objective vector `a` weakly dominates `b`.
@@ -426,9 +603,23 @@ impl ParetoFrontier {
         {
             return false;
         }
-        self.entries
-            .retain(|e| !dominates(candidate, objectives(e)));
+        // One dominance test per incumbent; an evicted entry's text goes
+        // with it (evictions are few, admissions are not).
+        let mut index = 0;
+        let mut evicted = Vec::new();
+        self.entries.retain(|e| {
+            let keep = !dominates(candidate, objectives(e));
+            if !keep {
+                evicted.push(index);
+            }
+            index += 1;
+            keep
+        });
+        for &i in evicted.iter().rev() {
+            self.texts.remove(i);
+        }
         self.entries.push(ParetoEntry { summary, area });
+        self.texts.push(TextCache::default());
         true
     }
 
@@ -510,8 +701,9 @@ impl ParetoConstraints {
     /// # Errors
     ///
     /// Returns a human-readable description of the first offending bound;
-    /// the CLI reports it at parse time, library callers wrap it in
-    /// [`AutoPowerError::Surrogate`]-style input errors of their own.
+    /// the CLI reports it at parse time, and
+    /// [`SweepAggregator::with_pareto_constraints`] refuses with it as
+    /// [`AutoPowerError::InvalidConstraints`].
     pub fn validate(&self) -> Result<(), String> {
         if let Some(p) = self.max_power {
             if !p.is_finite() || p <= 0.0 {
@@ -550,11 +742,37 @@ impl Default for StreamSpec {
 }
 
 /// A retained top-k summary plus its arrival sequence number (the stable-sort
-/// tie-breaker).
-#[derive(Debug, Clone, PartialEq)]
+/// tie-breaker) and its text cache, which `Debug` and `PartialEq` ignore.
+#[derive(Clone)]
 struct TopEntry {
     seq: u64,
     summary: ConfigSummary,
+    text: TextCache,
+}
+
+impl TopEntry {
+    fn new(seq: u64, summary: ConfigSummary) -> Self {
+        Self {
+            seq,
+            summary,
+            text: TextCache::default(),
+        }
+    }
+}
+
+impl fmt::Debug for TopEntry {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("TopEntry")
+            .field("seq", &self.seq)
+            .field("summary", &self.summary)
+            .finish()
+    }
+}
+
+impl PartialEq for TopEntry {
+    fn eq(&self, other: &Self) -> bool {
+        self.seq == other.seq && self.summary == other.summary
+    }
 }
 
 /// Bounded-memory fold of a configuration-major sweep point stream.
@@ -617,16 +835,19 @@ impl SweepAggregator {
     /// power-series sketches still fold **all** summaries — the constraints
     /// scope the frontier, not the sweep statistics.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if the constraints fail [`ParetoConstraints::validate`]
-    /// (callers validate user input before building an aggregator).
-    pub fn with_pareto_constraints(mut self, constraints: ParetoConstraints) -> Self {
-        if let Err(message) = constraints.validate() {
-            panic!("invalid pareto constraints: {message}");
-        }
+    /// Returns [`AutoPowerError::InvalidConstraints`] if the constraints fail
+    /// [`ParetoConstraints::validate`].
+    pub fn with_pareto_constraints(
+        mut self,
+        constraints: ParetoConstraints,
+    ) -> Result<Self, AutoPowerError> {
+        constraints
+            .validate()
+            .map_err(AutoPowerError::InvalidConstraints)?;
         self.constraints = constraints;
-        self
+        Ok(self)
     }
 
     /// The feasibility constraints scoping the Pareto frontier.
@@ -680,7 +901,7 @@ impl SweepAggregator {
             }
         });
         if pos < self.top_k {
-            self.top.insert(pos, TopEntry { seq, summary });
+            self.top.insert(pos, TopEntry::new(seq, summary));
             self.top.truncate(self.top_k);
         }
 
@@ -750,6 +971,30 @@ impl SweepAggregator {
                 .map(|s| s.sketch().retained())
                 .sum::<usize>()
     }
+
+    /// Bytes this aggregator adds to a checkpoint's text, estimated from the
+    /// cached texts' lengths and a per-line guess for the rest — what
+    /// [`encode_checkpoint`] sizes its buffer by.
+    fn text_len_hint(&self) -> usize {
+        let levels: usize = self
+            .series
+            .iter()
+            .flat_map(|s| {
+                s.sketch
+                    .levels
+                    .iter()
+                    .map(|l| l.text_len_hint(s.sketch.segment()))
+            })
+            .sum();
+        let entries: usize = self
+            .top
+            .iter()
+            .map(|entry| &entry.text)
+            .chain(&self.pareto.texts)
+            .map(|text| text.len().unwrap_or(ENTRY_BYTES))
+            .sum();
+        levels + entries
+    }
 }
 
 fn encode_summary(w: &mut Writer, summary: &ConfigSummary) {
@@ -816,18 +1061,22 @@ impl Codec for SweepAggregator {
         w.end();
         w.begin_list("top", self.top.len());
         for entry in &self.top {
-            w.begin("entry");
-            w.u64("seq", entry.seq);
-            encode_summary(w, &entry.summary);
-            w.end();
+            entry.text.write(w, |w| {
+                w.begin("entry");
+                w.u64("seq", entry.seq);
+                encode_summary(w, &entry.summary);
+                w.end();
+            });
         }
         w.end();
         w.begin_list("pareto", self.pareto.entries.len());
-        for entry in &self.pareto.entries {
-            w.begin("entry");
-            w.f64("area", entry.area);
-            encode_summary(w, &entry.summary);
-            w.end();
+        for (entry, text) in self.pareto.entries.iter().zip(&self.pareto.texts) {
+            text.write(w, |w| {
+                w.begin("entry");
+                w.f64("area", entry.area);
+                encode_summary(w, &entry.summary);
+                w.end();
+            });
         }
         w.end();
         // Optional trailing section: written only when constraints are
@@ -908,7 +1157,7 @@ impl Codec for SweepAggregator {
             let seq = r.u64("seq")?;
             let summary = decode_summary(r)?;
             r.end()?;
-            top.push(TopEntry { seq, summary });
+            top.push(TopEntry::new(seq, summary));
         }
         r.end()?;
         let n_pareto = r.begin_list("pareto")?;
@@ -940,7 +1189,14 @@ impl Codec for SweepAggregator {
             groups_resolved,
             series,
             top,
-            pareto: ParetoFrontier { entries },
+            pareto: ParetoFrontier {
+                // One fresh cell each: `vec![TextCache::default(); n]` would
+                // share a single cell between all of them.
+                texts: std::iter::repeat_with(TextCache::default)
+                    .take(entries.len())
+                    .collect(),
+                entries,
+            },
             constraints,
         })
     }
@@ -1041,8 +1297,12 @@ impl Codec for SweepCheckpoint {
 }
 
 /// Serializes a checkpoint to its text form.
+///
+/// Retained entries whose text an earlier encode of this aggregator, or of a
+/// clone of it, already rendered are spliced rather than formatted again
+/// (see the module docs); the bytes are the same either way.
 pub fn encode_checkpoint(checkpoint: &SweepCheckpoint) -> String {
-    let mut w = Writer::new();
+    let mut w = Writer::with_capacity(checkpoint.aggregator.text_len_hint() + FIXED_BYTES);
     checkpoint.encode(&mut w);
     w.finish()
 }
@@ -1318,6 +1578,99 @@ mod tests {
         let decoded = T::decode(&mut r).expect("roundtrip decode");
         r.expect_eof().expect("trailing content after decode");
         decoded
+    }
+
+    /// The checkpoint encoding with every entry formatted directly: the
+    /// cache-free oracle the cached encode must reproduce byte for byte.
+    mod reference {
+        use super::*;
+
+        pub fn checkpoint(checkpoint: &SweepCheckpoint) -> String {
+            let mut w = Writer::new();
+            w.begin("sweep-checkpoint");
+            w.u64("version", CHECKPOINT_FORMAT_VERSION);
+            w.u64("fingerprint", checkpoint.fingerprint);
+            checkpoint.cursor.encode(&mut w);
+            aggregator_into(&mut w, &checkpoint.aggregator);
+            if let Some(audit) = &checkpoint.audit {
+                audit.encode(&mut w);
+            }
+            w.end();
+            w.finish()
+        }
+
+        pub fn aggregator(aggregator: &SweepAggregator) -> String {
+            let mut w = Writer::new();
+            aggregator_into(&mut w, aggregator);
+            w.finish()
+        }
+
+        fn aggregator_into(w: &mut Writer, a: &SweepAggregator) {
+            w.begin("aggregator");
+            w.u64("per_config", a.per_config as u64);
+            w.u64("top_k", a.top_k as u64);
+            w.u64("pending_points", a.partial.len() as u64);
+            w.u64("configs", a.configs);
+            w.bool("groups_resolved", a.groups_resolved);
+            w.begin_list("series", a.series.len());
+            for series in &a.series {
+                w.begin("series");
+                w.f64("min", series.min);
+                w.f64("max", series.max);
+                let sketch = &series.sketch;
+                w.begin("sketch");
+                w.u64("level_capacity", sketch.level_capacity as u64);
+                w.u64("count", sketch.count);
+                w.begin_list("compactions", sketch.compactions.len());
+                for &c in &sketch.compactions {
+                    w.u64("n", c);
+                }
+                w.end();
+                w.begin_list("levels", sketch.levels.len());
+                for level in &sketch.levels {
+                    w.f64_seq("values", &level.values);
+                }
+                w.end();
+                w.end();
+                w.end();
+            }
+            w.end();
+            w.begin_list("top", a.top.len());
+            for entry in &a.top {
+                w.begin("entry");
+                w.u64("seq", entry.seq);
+                encode_summary(w, &entry.summary);
+                w.end();
+            }
+            w.end();
+            w.begin_list("pareto", a.pareto.entries.len());
+            for entry in &a.pareto.entries {
+                w.begin("entry");
+                w.f64("area", entry.area);
+                encode_summary(w, &entry.summary);
+                w.end();
+            }
+            w.end();
+            if a.constraints.is_constrained() {
+                w.begin("constraints");
+                match a.constraints.max_power {
+                    Some(p) => {
+                        w.bool("has_max_power", true);
+                        w.f64("max_power", p);
+                    }
+                    None => w.bool("has_max_power", false),
+                }
+                match a.constraints.min_ipc {
+                    Some(i) => {
+                        w.bool("has_min_ipc", true);
+                        w.f64("min_ipc", i);
+                    }
+                    None => w.bool("has_min_ipc", false),
+                }
+                w.end();
+            }
+            w.end();
+        }
     }
 
     fn nearest_rank(sorted: &[f64], q: f64) -> f64 {
@@ -2035,6 +2388,59 @@ mod tests {
             (agg, engine.audit_state())
         }
 
+        /// A surrogate checkpoint the previous checkpoint writer saved after
+        /// folding 160 sampled configurations (`top_k` 3, sketch level
+        /// capacity 8, audit rate 0.25, the fixture's workloads): compacted
+        /// sketch levels, a frontier that evicted members, an audit block.
+        const GOLDEN: &str = include_str!("../../../tests/data/checkpoint_golden.ckpt");
+
+        #[test]
+        fn golden_checkpoint_decodes_resumes_and_reencodes_byte_identically() {
+            let golden = decode_checkpoint(GOLDEN).unwrap();
+            assert_eq!(golden.cursor.offset, 160);
+            assert!(!golden
+                .aggregator
+                .series(PowerSeries::Total)
+                .sketch()
+                .is_exact());
+            assert!(golden.audit.is_some());
+            assert_eq!(reference::checkpoint(&golden), GOLDEN);
+            assert_eq!(encode_checkpoint(&golden), GOLDEN, "cold encode");
+            assert_eq!(encode_checkpoint(&golden.clone()), GOLDEN, "warm encode");
+
+            // Resume: fold more chunks on top of it, checking every save.
+            let engine = engine(&fixture().0, 2, 16);
+            engine.restore_audit_state(golden.audit.clone().unwrap());
+            let mut agg = golden.aggregator.clone();
+            let configs = DesignSpace::boom().sample(48, 8);
+            let mut saves = 0;
+            engine
+                .stream(
+                    configs.iter().copied(),
+                    &WORKLOADS,
+                    &mut agg,
+                    |agg, folded| {
+                        let checkpoint = SweepCheckpoint {
+                            fingerprint: golden.fingerprint,
+                            cursor: ChunkCursor {
+                                offset: golden.cursor.offset + folded,
+                            },
+                            aggregator: agg.clone(),
+                            audit: engine.audit_state(),
+                        };
+                        let text = encode_checkpoint(&checkpoint);
+                        assert_eq!(text, reference::checkpoint(&checkpoint));
+                        assert_eq!(decode_checkpoint(&text).unwrap(), checkpoint);
+                        saves += 1;
+                        Ok(true)
+                    },
+                )
+                .unwrap();
+            assert_eq!(saves, 3);
+            assert_eq!(agg.configs_folded(), 160 + 48);
+            assert_ne!(agg, golden.aggregator);
+        }
+
         /// A model that panics when asked to score one configuration.
         #[derive(Debug)]
         struct PanicsOn {
@@ -2156,7 +2562,9 @@ mod tests {
         };
         assert!(power_capped.admits(&cool));
         assert!(!power_capped.admits(&hot));
-        let mut constrained = SweepAggregator::new(1, &spec).with_pareto_constraints(power_capped);
+        let mut constrained = SweepAggregator::new(1, &spec)
+            .with_pareto_constraints(power_capped)
+            .unwrap();
         constrained.push_summary(hot);
         constrained.push_summary(cool);
         assert_eq!(constrained.pareto().len(), 1);
@@ -2175,7 +2583,9 @@ mod tests {
             max_power: None,
             min_ipc: Some(1.8),
         };
-        let mut floored = SweepAggregator::new(1, &spec).with_pareto_constraints(ipc_floored);
+        let mut floored = SweepAggregator::new(1, &spec)
+            .with_pareto_constraints(ipc_floored)
+            .unwrap();
         floored.push_summary(hot);
         floored.push_summary(cool);
         assert_eq!(floored.pareto().len(), 1);
@@ -2222,14 +2632,18 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "invalid pareto constraints")]
     fn aggregator_refuses_invalid_constraints() {
-        let _ = SweepAggregator::new(1, &StreamSpec::default()).with_pareto_constraints(
-            ParetoConstraints {
+        let err = SweepAggregator::new(1, &StreamSpec::default())
+            .with_pareto_constraints(ParetoConstraints {
                 max_power: Some(f64::NAN),
                 min_ipc: None,
-            },
+            })
+            .unwrap_err();
+        assert!(
+            matches!(&err, AutoPowerError::InvalidConstraints(m) if m.contains("--max-power")),
+            "{err:?}"
         );
+        assert!(err.to_string().starts_with("invalid pareto constraints"));
     }
 
     #[test]
@@ -2242,7 +2656,9 @@ mod tests {
             max_power: Some(9.5),
             min_ipc: Some(0.75),
         };
-        let mut constrained = SweepAggregator::new(1, &spec).with_pareto_constraints(constraints);
+        let mut constrained = SweepAggregator::new(1, &spec)
+            .with_pareto_constraints(constraints)
+            .unwrap();
         constrained.push_summary(summary(1, 9.0, 1.0, 9.0));
         constrained.push_summary(summary(2, 11.0, 2.0, 5.5)); // filtered out
         let restored = roundtrip(&constrained);
@@ -2257,6 +2673,203 @@ mod tests {
         plain.encode(&mut w);
         assert!(!w.finish().contains("constraints"));
         assert_eq!(roundtrip(&plain), plain);
+    }
+
+    /// What one [`cached_encodes_match_the_reference`] run exercised.
+    #[derive(Debug, Default)]
+    struct CacheRun {
+        saves: usize,
+        compactions: u64,
+        evictions: usize,
+        resumes: usize,
+    }
+
+    /// Folds `n` pseudo-random summaries (seeded by `seed`) into a
+    /// `top_k = 3` aggregator whose sketch levels hold `capacity` values,
+    /// saving every `save_every` of them.
+    /// At each save the checkpoint of a clone, a warm re-encode, the
+    /// aggregator encoded standalone (another depth, sometimes first) and
+    /// the decoded (cold) checkpoint must all match the cache-free reference
+    /// byte for byte; some saves resume from the decoded copy.
+    fn cached_encodes_match_the_reference(
+        seed: u64,
+        n: usize,
+        save_every: usize,
+        capacity: usize,
+    ) -> CacheRun {
+        use autopower_config::seed::splitmix64;
+        use autopower_perfsim::EventParams;
+
+        let mut state = seed;
+        let mut next = move || {
+            state = splitmix64(state);
+            state
+        };
+        let mut unit = move || (next() >> 11) as f64 / (1u64 << 53) as f64;
+        let spec = StreamSpec {
+            top_k: 3,
+            sketch_level_capacity: capacity,
+        };
+        let mut agg = SweepAggregator::new(1, &spec);
+        let events = EventParams::names().len();
+        let mut audit = AuditAccumulator::new(events);
+        let mut run = CacheRun::default();
+        let mut frontier_ids = Vec::new();
+        for (i, config) in DesignSpace::boom().sample(n, seed).into_iter().enumerate() {
+            let groups = PowerGroups {
+                clock: 1.0 + 3.0 * unit(),
+                sram: 1.0 + 2.0 * unit(),
+                register: 0.5 + unit(),
+                combinational: 2.0 + 4.0 * unit(),
+            };
+            let mean_ipc = 0.3 + 2.0 * unit();
+            agg.push_summary(ConfigSummary {
+                config,
+                mean_total: groups.total(),
+                mean_groups: (unit() < 0.95).then_some(groups),
+                mean_ipc,
+                energy_per_instruction: groups.total() / mean_ipc,
+            });
+            if unit() < 0.3 {
+                let exact: Vec<f64> = (0..events).map(|_| unit()).collect();
+                let predicted: Vec<f64> = exact.iter().map(|v| v * (0.9 + 0.2 * unit())).collect();
+                audit.record(&exact, &predicted, 10.0 * unit(), 10.0 * unit());
+            }
+            if (i + 1) % save_every != 0 {
+                continue;
+            }
+            run.saves += 1;
+            let ids: Vec<ConfigId> = agg
+                .pareto()
+                .entries()
+                .iter()
+                .map(|e| e.summary.config.id)
+                .collect();
+            run.evictions += frontier_ids.iter().filter(|id| !ids.contains(id)).count();
+            frontier_ids = ids;
+
+            let standalone = reference::aggregator(&agg);
+            let standalone_first = unit() < 0.25;
+            if standalone_first {
+                let mut w = Writer::new();
+                agg.encode(&mut w);
+                assert_eq!(
+                    w.finish(),
+                    standalone,
+                    "standalone encode, save {}",
+                    run.saves
+                );
+            }
+            let checkpoint = SweepCheckpoint {
+                fingerprint: seed,
+                cursor: ChunkCursor {
+                    offset: i as u64 + 1,
+                },
+                aggregator: agg.clone(),
+                audit: (unit() < 0.8).then(|| audit.clone()),
+            };
+            let expected = reference::checkpoint(&checkpoint);
+            assert_eq!(
+                encode_checkpoint(&checkpoint),
+                expected,
+                "clone, save {}",
+                run.saves
+            );
+            assert_eq!(
+                encode_checkpoint(&checkpoint),
+                expected,
+                "warm, save {}",
+                run.saves
+            );
+            if !standalone_first {
+                let mut w = Writer::new();
+                agg.encode(&mut w);
+                assert_eq!(
+                    w.finish(),
+                    standalone,
+                    "standalone encode, save {}",
+                    run.saves
+                );
+            }
+            let decoded = decode_checkpoint(&expected).unwrap();
+            assert_eq!(decoded, checkpoint);
+            assert_eq!(
+                encode_checkpoint(&decoded),
+                expected,
+                "cold, save {}",
+                run.saves
+            );
+            if unit() < 0.3 {
+                agg = decoded.aggregator;
+                run.resumes += 1;
+            }
+        }
+        run.compactions = agg.series[PowerSeries::Total.index()]
+            .sketch
+            .compactions
+            .iter()
+            .sum();
+        run
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn cached_checkpoint_encodes_equal_the_cache_free_reference(
+            seed in 0u64..u64::MAX,
+            n in 1usize..400,
+            save_every in 1usize..40,
+            capacity in 9usize..80,
+        ) {
+            // Capacity 8 caches every value as its own segment; larger ones
+            // leave partial segments at the end of every level.
+            cached_encodes_match_the_reference(seed, n, save_every, 8);
+            cached_encodes_match_the_reference(seed, n, save_every, capacity);
+        }
+    }
+
+    #[test]
+    fn the_cache_proptest_crosses_compactions_evictions_and_resumes() {
+        let run = cached_encodes_match_the_reference(7, 300, 9, 8);
+        assert!(run.saves >= 30, "{run:?}");
+        assert!(run.compactions >= 30, "{run:?}");
+        assert!(run.evictions >= 5, "{run:?}");
+        assert!(run.resumes >= 3, "{run:?}");
+    }
+
+    #[test]
+    fn caches_are_shared_by_clones_and_invisible_to_eq_and_debug() {
+        let spec = StreamSpec {
+            top_k: 3,
+            sketch_level_capacity: 8,
+        };
+        let mut agg = SweepAggregator::new(1, &spec);
+        for (i, config) in DesignSpace::boom().sample(40, 3).into_iter().enumerate() {
+            let total = 10.0 - (i % 7) as f64;
+            agg.push_summary(ConfigSummary {
+                config,
+                ..summary(1, total, 1.0 + (i % 5) as f64, total)
+            });
+        }
+        let checkpoint = |aggregator: SweepAggregator| SweepCheckpoint {
+            fingerprint: 1,
+            cursor: ChunkCursor { offset: 40 },
+            aggregator,
+            audit: None,
+        };
+        let text = encode_checkpoint(&checkpoint(agg.clone()));
+        // Encoding the clone filled the original's caches ...
+        let cached = |a: &SweepAggregator| {
+            a.pareto.texts.iter().filter(|t| t.len().is_some()).count()
+                + a.top.iter().filter(|e| e.text.len().is_some()).count()
+        };
+        assert_eq!(cached(&agg), agg.pareto().len() + agg.top().len());
+        // ... while a decoded copy starts cold, equal and identically
+        // printed.
+        let cold = decode_checkpoint(&text).unwrap().aggregator;
+        assert_eq!(cached(&cold), 0);
+        assert_eq!(cold, agg);
+        assert_eq!(format!("{cold:?}"), format!("{agg:?}"));
+        assert_eq!(encode_checkpoint(&checkpoint(cold)), text);
     }
 
     #[test]

@@ -647,7 +647,7 @@ impl Experiments {
             } else {
                 (
                     SweepAggregator::new(workloads.len(), &stream_spec)
-                        .with_pareto_constraints(constraints),
+                        .with_pareto_constraints(constraints)?,
                     0,
                     None,
                     None,

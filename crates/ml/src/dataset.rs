@@ -136,6 +136,23 @@ impl Standardizer {
             .collect()
     }
 
+    /// The dot product of the transformed `row` with `weights`: each
+    /// `(v - m) / s` times its weight, summed in index order — the bits of
+    /// `transform_row(row)` dotted with `weights`, without allocating the
+    /// transformed row.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the row width differs from the fitted width.
+    pub fn transform_dot(&self, row: &[f64], weights: &[f64]) -> f64 {
+        assert_eq!(row.len(), self.means.len(), "row width mismatch");
+        row.iter()
+            .zip(self.means.iter().zip(&self.stds))
+            .zip(weights)
+            .map(|((v, (m, s)), w)| (v - m) / s * w)
+            .sum()
+    }
+
     /// Transforms many rows.
     pub fn transform(&self, rows: &[Vec<f64>]) -> Vec<Vec<f64>> {
         rows.iter().map(|r| self.transform_row(r)).collect()

@@ -134,12 +134,7 @@ impl Regressor for RidgeRegression {
             .standardizer
             .as_ref()
             .expect("predict called before fit");
-        let xs = standardizer.transform_row(x);
-        self.intercept
-            + xs.iter()
-                .zip(&self.coefficients)
-                .map(|(v, c)| v * c)
-                .sum::<f64>()
+        self.intercept + standardizer.transform_dot(x, &self.coefficients)
     }
 }
 
@@ -223,6 +218,28 @@ mod tests {
             let mut m = RidgeRegression::default();
             m.fit(&xs, &y).unwrap();
             prop_assert!(m.predict(&q).is_finite());
+        }
+
+        /// The fused standardise-and-dot predict reproduces the bits of the
+        /// formula it replaced: standardise the row with `transform_row`,
+        /// then sum `v * c` in index order.
+        #[test]
+        fn predict_matches_the_transform_row_formula_bit_for_bit(
+            xs in proptest::collection::vec(proptest::collection::vec(-1e3f64..1e3, 5), 2..10),
+            y in proptest::collection::vec(-1e3f64..1e3, 10),
+            q in proptest::collection::vec(-1e4f64..1e4, 5),
+            alpha in 0.0f64..10.0,
+        ) {
+            let mut m = RidgeRegression::new(alpha);
+            m.fit(&xs, &y[..xs.len()]).unwrap();
+            let standardized = m.standardizer.as_ref().unwrap().transform_row(&q);
+            let oracle = m.intercept
+                + standardized
+                    .iter()
+                    .zip(&m.coefficients)
+                    .map(|(v, c)| v * c)
+                    .sum::<f64>();
+            prop_assert_eq!(m.predict(&q).to_bits(), oracle.to_bits());
         }
     }
 }
