@@ -3,11 +3,18 @@
 //!
 //! Starts a server from a saved fast-trained `autopower` model (the
 //! cold-start path the real binary takes — no retraining), then drives it
-//! with concurrent client connections issuing fixed batches and records the
-//! mean per-request wall time (the throughput entry: requests/sec =
-//! 1e9 / ns_per_iter) and the p50/p99 request latencies.  Two batch shapes
-//! bracket the service's envelope: single-config requests (latency-bound)
-//! and 16-config × 3-workload requests (batch-scoring-bound).
+//! with concurrent client connections and records the mean per-request wall
+//! time (the throughput entry: requests/sec = 1e9 / ns_per_iter) and the
+//! p50/p99 request latencies.  Two batch shapes bracket the service's
+//! envelope: single-config requests (latency-bound) and 16-config ×
+//! 3-workload requests (batch-scoring-bound).
+//!
+//! The server keeps one simulation cache for its lifetime, so a request
+//! that repeats earlier pairs costs no simulation.  The `b1w1` and `b16w3`
+//! rows therefore give every request fresh configurations, drawn from a
+//! sampled pool larger than both passes together: they time the miss path,
+//! simulation included.  `b1w1_repeat` sends one configuration over and
+//! over and times the hit path.
 //!
 //! Run with `cargo bench --bench serve [filter] [--json FILE]`.
 
@@ -27,6 +34,9 @@ const REQUESTS_PER_CONNECTION: usize = 25;
 /// Connections in the overload scenario — enough to keep the shedding queue
 /// saturated on one worker.
 const OVERLOAD_CONNECTIONS: usize = 8;
+
+/// Configurations per request in the overload scenario (× 3 workloads).
+const OVERLOAD_CONFIGS: usize = 4;
 
 /// Queue bound (points) of the overload scenario's server: small enough that
 /// shedding actually happens under `OVERLOAD_CONNECTIONS` concurrent batches.
@@ -49,22 +59,30 @@ fn saved_model_path() -> std::path::PathBuf {
     path
 }
 
-/// Drives one scenario: every connection issues `REQUESTS_PER_CONNECTION`
-/// identical batches; returns every request latency plus the scenario wall
-/// time.
+/// Requests one pass of a scenario sends: every connection's requests.
+const REQUESTS_PER_PASS: usize = CONNECTIONS * REQUESTS_PER_CONNECTION;
+
+/// Drives one pass of a scenario: every connection issues
+/// `REQUESTS_PER_CONNECTION` requests of `per_request` configurations each,
+/// request `k` of the pass scoring `pool[k * per_request..][..per_request]`;
+/// returns every request latency plus the pass's wall time.
 fn drive(
     server: &Server,
-    configs: &[CpuConfig],
+    pool: &[CpuConfig],
+    per_request: usize,
     workloads: &[Workload],
 ) -> (Vec<Duration>, Duration) {
+    assert_eq!(pool.len(), REQUESTS_PER_PASS * per_request);
     let start = Instant::now();
     let mut latencies: Vec<Duration> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..CONNECTIONS)
-            .map(|_| {
+        let handles: Vec<_> = pool
+            .chunks(REQUESTS_PER_CONNECTION * per_request)
+            .map(|requests| {
                 scope.spawn(move || {
                     let mut client = Client::connect(server.addr()).expect("connect");
-                    (0..REQUESTS_PER_CONNECTION)
-                        .map(|_| {
+                    requests
+                        .chunks(per_request)
+                        .map(|configs| {
                             let sent = Instant::now();
                             client
                                 .predict(ModelKind::AutoPower, configs, workloads)
@@ -91,17 +109,19 @@ fn percentile(sorted: &[Duration], k: usize) -> Duration {
     sorted[rank - 1]
 }
 
+/// Times one scenario: an untimed warm-up pass over `warm_up` (it grows the
+/// worker scratch, and caches whatever simulations it runs), then the
+/// measured pass over `measured`.  Both pools hold one pass's requests.
 fn scenario(
     bench: &Bench,
     server: &Server,
     label: &str,
-    configs: &[CpuConfig],
+    (warm_up, measured): (&[CpuConfig], &[CpuConfig]),
+    per_request: usize,
     workloads: &[Workload],
 ) {
-    // One untimed warm-up pass populates the simulation cache and worker
-    // scratch, so the measured pass reflects steady-state serving.
-    drive(server, configs, workloads);
-    let (latencies, wall) = drive(server, configs, workloads);
+    drive(server, warm_up, per_request, workloads);
+    let (latencies, wall) = drive(server, measured, per_request, workloads);
     let total = latencies.len() as u64;
     let per_request = wall / total as u32;
     let rps = 1e9 / per_request.as_nanos() as f64;
@@ -125,16 +145,24 @@ fn scenario(
 /// Drives a deliberately overloaded server: every connection retries shed
 /// requests with jittered backoff until they land, so each latency sample is
 /// the *end-to-end* time a well-behaved client pays under load shedding —
-/// queueing, Overloaded refusals, reconnects and backoff included.
+/// queueing, Overloaded refusals, reconnects and backoff included.  Requests
+/// take `OVERLOAD_CONFIGS` fresh configurations each from `pool`, like
+/// [`drive`]'s.
 fn drive_overloaded(
     server: &Server,
-    configs: &[CpuConfig],
+    pool: &[CpuConfig],
     workloads: &[Workload],
 ) -> (Vec<Duration>, Duration) {
+    assert_eq!(
+        pool.len(),
+        OVERLOAD_CONNECTIONS * REQUESTS_PER_CONNECTION * OVERLOAD_CONFIGS
+    );
     let start = Instant::now();
     let mut latencies: Vec<Duration> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..OVERLOAD_CONNECTIONS)
-            .map(|connection| {
+        let handles: Vec<_> = pool
+            .chunks(REQUESTS_PER_CONNECTION * OVERLOAD_CONFIGS)
+            .enumerate()
+            .map(|(connection, requests)| {
                 scope.spawn(move || {
                     let policy = RetryPolicy {
                         attempts: 100,
@@ -144,8 +172,9 @@ fn drive_overloaded(
                         timeout: Duration::from_secs(30),
                     };
                     let mut client = Client::connect_with(server.addr(), policy).expect("connect");
-                    (0..REQUESTS_PER_CONNECTION)
-                        .map(|_| {
+                    requests
+                        .chunks(OVERLOAD_CONFIGS)
+                        .map(|configs| {
                             let sent = Instant::now();
                             client
                                 .predict(ModelKind::AutoPower, configs, workloads)
@@ -180,11 +209,13 @@ fn overload_scenario(bench: &Bench, path: &std::path::Path) {
         },
     )
     .expect("overload server starts");
-    let configs = DesignSpace::boom().sample(4, 3);
+    let pass = OVERLOAD_CONNECTIONS * REQUESTS_PER_CONNECTION * OVERLOAD_CONFIGS;
+    let pool = DesignSpace::boom().sample(2 * pass, 9);
+    let (warm_up, measured) = pool.split_at(pass);
     let workloads = [Workload::Dhrystone, Workload::Qsort, Workload::Vvadd];
 
-    drive_overloaded(&server, &configs, &workloads);
-    let (latencies, wall) = drive_overloaded(&server, &configs, &workloads);
+    drive_overloaded(&server, warm_up, &workloads);
+    let (latencies, wall) = drive_overloaded(&server, measured, &workloads);
     let total = latencies.len() as u64;
     let per_request = wall / total as u32;
     let rps = 1e9 / per_request.as_nanos() as f64;
@@ -216,16 +247,28 @@ fn main() {
     )
     .expect("server starts");
 
-    let single = DesignSpace::boom().sample(1, 3);
-    let batch = DesignSpace::boom().sample(16, 3);
+    // Fresh configurations for every request of both passes (the miss
+    // path), or one configuration repeated throughout (the hit path).
+    let fresh = |per_request: usize, seed: u64| {
+        DesignSpace::boom().sample(2 * REQUESTS_PER_PASS * per_request, seed)
+    };
     let one_workload = [Workload::Dhrystone];
     let three_workloads = [Workload::Dhrystone, Workload::Qsort, Workload::Vvadd];
 
     if bench.should_run("serve_rps_b1w1") {
-        scenario(&bench, &server, "b1w1", &single, &one_workload);
+        let pool = fresh(1, 3);
+        let passes = pool.split_at(REQUESTS_PER_PASS);
+        scenario(&bench, &server, "b1w1", passes, 1, &one_workload);
     }
     if bench.should_run("serve_rps_b16w3") {
-        scenario(&bench, &server, "b16w3", &batch, &three_workloads);
+        let pool = fresh(16, 5);
+        let passes = pool.split_at(REQUESTS_PER_PASS * 16);
+        scenario(&bench, &server, "b16w3", passes, 16, &three_workloads);
+    }
+    if bench.should_run("serve_rps_b1w1_repeat") {
+        let repeated = vec![DesignSpace::boom().sample(1, 7)[0]; REQUESTS_PER_PASS];
+        let passes = (&repeated[..], &repeated[..]);
+        scenario(&bench, &server, "b1w1_repeat", passes, 1, &one_workload);
     }
 
     let mut client = Client::connect(server.addr()).expect("connect for shutdown");

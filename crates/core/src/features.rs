@@ -55,11 +55,12 @@ pub fn event_features_into(component: Component, events: &EventParams, out: &mut
 /// Scoring a batch assembles, per sub-model and component, one feature
 /// matrix over the batch and one hardware row per point, runs each ensemble
 /// over the matrix, and writes each component's term of each power group
-/// into a per-component column.  The engines that score thousands of points —
-/// [`SweepEngine`](crate::SweepEngine), [`sweep_multi`](crate::sweep_multi)
-/// and the prediction service — hand each worker one `FeatureScratch`, so
-/// that storage is allocated once per worker instead of once per batch.  The
-/// scratch never changes a prediction — it only re-uses storage.
+/// into a per-component column.  The engine that scores thousands of points
+/// — [`SweepEngine`](crate::SweepEngine), which also runs
+/// [`sweep_multi`](crate::sweep_multi) and the prediction service's batches —
+/// hands each worker one `FeatureScratch`, so that storage is allocated once
+/// per worker instead of once per batch.  The scratch never changes a
+/// prediction — it only re-uses storage.
 #[derive(Debug, Clone, Default)]
 pub struct FeatureScratch {
     /// One hardware-parameter row, refilled per (point, component).

@@ -167,10 +167,10 @@ where
 /// [`parallel_map`] with per-worker mutable state: `init` builds one state
 /// value per worker and `f` receives it alongside the index.
 ///
-/// This is how the batch-inference engines hand each worker a reusable
-/// [`FeatureScratch`](crate::features::FeatureScratch): the state lives as
-/// long as the worker, so `f` can reuse buffers across every job the worker
-/// claims without any sharing or locking.
+/// This is how the substrate pipeline hands each worker a reusable
+/// [`SimScratch`]: the state lives as long as the worker, so `f` can reuse
+/// buffers across every job the worker claims without any sharing or
+/// locking.
 ///
 /// When the effective worker count is 1, the closure runs **inline** on the
 /// calling thread over one state value — no `thread::scope`, no per-slot

@@ -50,7 +50,6 @@
 
 use crate::error::AutoPowerError;
 use crate::features::FeatureScratch;
-use crate::pipeline::parallel_map_with;
 use crate::power_model::{PowerModel, PredictInput};
 use crate::prediction::Prediction;
 use crate::stream::StreamProgress;
@@ -172,18 +171,14 @@ pub struct ConfigSummary {
 }
 
 /// Per-worker reusable state of a sweep: simulation scratch, feature-row
-/// scratch, one event-parameter set absorbing every derivation, and the
-/// surrogate backend's raw-rate and shadow-event buffers.
+/// scratch and the surrogate backend's shadow-event buffer.
 struct SweepScratch {
     sim: SimScratch,
     features: FeatureScratch,
-    events: EventParams,
     /// Shadow event parameters derived from the surrogate prediction on
     /// audited points, so error accounting never disturbs the exact events
     /// the emitted point is scored from.
     surrogate_events: EventParams,
-    /// Output of each model's batch-of-one call.
-    predictions: Vec<Prediction>,
 }
 
 impl SweepScratch {
@@ -191,9 +186,7 @@ impl SweepScratch {
         Self {
             sim: SimScratch::new(),
             features: FeatureScratch::new(),
-            events: EventParams::empty(),
             surrogate_events: EventParams::empty(),
-            predictions: Vec::with_capacity(1),
         }
     }
 }
@@ -402,18 +395,27 @@ fn simulated_counters(
     }
 }
 
+/// The [`SimCache`] an engine consults: its own, or one it borrows.
+#[derive(Debug)]
+enum EngineCache<'a> {
+    Owned(SimCache),
+    Shared(&'a SimCache),
+}
+
 /// Sweeps a set of configurations through a trained model.
 ///
 /// Model-agnostic: the engine holds a [`&dyn PowerModel`](PowerModel), so any
 /// registry model ([`ModelKind`](crate::ModelKind)) — AutoPower or a baseline —
-/// drives the same batch-inference path.  The engine owns the [`SimCache`]
-/// that deduplicates simulations across everything it runs; its
-/// [`SweepEngine::cache_stats`] feed the sweep report.
+/// drives the same batch-inference path.  The [`SimCache`] that deduplicates
+/// simulations across everything the engine runs is either the engine's own
+/// ([`SweepEngine::new`]) or borrowed ([`SweepEngine::with_cache`]) from a
+/// caller that shares it between engines; [`SweepEngine::cache_stats`] feed
+/// the sweep report.
 #[derive(Debug)]
 pub struct SweepEngine<'a> {
     model: &'a dyn PowerModel,
     spec: SweepSpec,
-    cache: SimCache,
+    cache: EngineCache<'a>,
     backend: SimBackend<'a>,
     /// Audit-error accumulation of the surrogate backend.  Only the calling
     /// thread of a sweep writes it, absorbing each run's audits when it folds
@@ -427,12 +429,37 @@ impl<'a> SweepEngine<'a> {
     /// Creates an engine around any trained [`PowerModel`], simulating every
     /// point exactly ([`SimBackend::Exact`]).
     pub fn new(model: &'a dyn PowerModel, spec: SweepSpec) -> Self {
+        Self::with_engine_cache(model, spec, EngineCache::Owned(SimCache::new()))
+    }
+
+    /// [`SweepEngine::new`] consulting a caller-owned `cache` instead of one
+    /// of its own, so simulations are shared with every other engine that
+    /// borrows it — a resident server's batches, or several models sweeping
+    /// one space.  The counters are a pure function of the [`SimKey`], never
+    /// of the model, so sharing cannot change any point.
+    pub fn with_cache(model: &'a dyn PowerModel, spec: SweepSpec, cache: &'a SimCache) -> Self {
+        Self::with_engine_cache(model, spec, EngineCache::Shared(cache))
+    }
+
+    fn with_engine_cache(
+        model: &'a dyn PowerModel,
+        spec: SweepSpec,
+        cache: EngineCache<'a>,
+    ) -> Self {
         Self {
             model,
             spec,
-            cache: SimCache::new(),
+            cache,
             backend: SimBackend::Exact,
             audit: Mutex::new(AuditAccumulator::new(EventParams::names().len())),
+        }
+    }
+
+    /// The simulation cache this engine consults.
+    fn sim_cache(&self) -> &SimCache {
+        match &self.cache {
+            EngineCache::Owned(cache) => cache,
+            EngineCache::Shared(cache) => cache,
         }
     }
 
@@ -472,9 +499,11 @@ impl<'a> SweepEngine<'a> {
     }
 
     /// Hit/miss statistics of the simulation cache across every sweep this
-    /// engine has run (all zero when the cache is disabled or unused).
+    /// engine has run (all zero when the cache is disabled or unused).  For
+    /// an engine built with [`SweepEngine::with_cache`] these are the shared
+    /// cache's statistics, counting the lookups of every engine borrowing it.
     pub fn cache_stats(&self) -> SimCacheStats {
-        self.cache.stats()
+        self.sim_cache().stats()
     }
 
     /// The audit error table accumulated so far — `Some` exactly when the
@@ -773,7 +802,7 @@ impl<'a> SweepEngine<'a> {
         mut after_chunk: impl FnMut(&S, u64) -> Result<bool, E>,
     ) -> Result<StreamProgress, E> {
         let size = self.spec.chunk_configs.max(1);
-        let cache = self.spec.use_sim_cache.then_some(&self.cache);
+        let cache = self.spec.use_sim_cache.then(|| self.sim_cache());
         let mut chunk: Vec<CpuConfig> = source.by_ref().take(size).collect();
         // Serial (no workers) when the caller owns the scratch or the sweep
         // has one thread.  A short first chunk means a short source: never
@@ -986,9 +1015,10 @@ impl<'a> SweepEngine<'a> {
 ///
 /// The simulation depends only on the configuration and workload, never on the
 /// model, so sweeping `m` models costs one simulation pass plus `m` cheap
-/// prediction passes instead of `m` full sweeps.  Returns one point list per
-/// model, each bit-identical to what `SweepEngine::new(model, spec).run(...)`
-/// would produce on its own.
+/// prediction passes instead of `m` full sweeps (the passes share one
+/// [`SimCache`], so with [`SweepSpec::use_sim_cache`] off every pass
+/// simulates).  Returns one point list per model, each bit-identical to what
+/// `SweepEngine::new(model, spec).run(...)` would produce on its own.
 pub fn sweep_multi(
     models: &[&dyn PowerModel],
     spec: &SweepSpec,
@@ -1000,63 +1030,30 @@ pub fn sweep_multi(
 
 /// [`sweep_multi`] returning the simulation-cache statistics alongside the
 /// per-model points (for comparison reports).
+///
+/// One [`SweepEngine`] per model, all borrowing one [`SimCache`]: the first
+/// model's pass simulates and every later pass is answered from the cache.
+/// The statistics are those of the first pass — one lookup per pair — so
+/// they describe the sweep's simulations, not the replays.  With
+/// [`SweepSpec::use_sim_cache`] off, nothing is shared and every pass
+/// simulates.
 pub fn sweep_multi_with_stats(
     models: &[&dyn PowerModel],
     spec: &SweepSpec,
     configs: &[CpuConfig],
     workloads: &[Workload],
 ) -> (Vec<Vec<SweepPoint>>, SimCacheStats) {
-    let per_config = workloads.len();
     let cache = SimCache::new();
-    let cache_ref = spec.use_sim_cache.then_some(&cache);
-    // One pool (or, at one thread, one inline pass) over every pair: each
-    // worker keeps one scratch for the whole sweep.
-    let per_pair = parallel_map_with(
-        spec.effective_threads(),
-        configs.len() * per_config,
-        SweepScratch::new,
-        |scratch, i| {
-            let config = configs[i / per_config];
-            let workload = workloads[i % per_config];
-            let counters =
-                simulated_counters(cache_ref, &config, workload, &spec.sim, &mut scratch.sim);
-            EventParams::from_counters_into(
-                &counters,
-                config.id,
-                workload,
-                spec.sim.event_distortion,
-                &mut scratch.events,
-            );
-            let ipc = counters.ipc();
-            let point = PredictInput::new(&config, &scratch.events, workload);
-            models
-                .iter()
-                .map(|model| {
-                    let predictions = &mut scratch.predictions;
-                    model.predict_batch_with(&[point], &mut scratch.features, predictions);
-                    SweepPoint {
-                        config,
-                        workload,
-                        power: predictions
-                            .pop()
-                            .expect("a batch of one yields one prediction"),
-                        ipc,
-                    }
-                })
-                .collect::<Vec<_>>()
-        },
-    );
-    let mut results: Vec<Vec<SweepPoint>> = models
+    let mut first_pass = None;
+    let points = models
         .iter()
-        .map(|_| Vec::with_capacity(per_pair.len()))
+        .map(|&model| {
+            let points = SweepEngine::with_cache(model, *spec, &cache).run(configs, workloads);
+            first_pass.get_or_insert_with(|| cache.stats());
+            points
+        })
         .collect();
-    for per_model in per_pair {
-        for (slot, point) in results.iter_mut().zip(per_model) {
-            slot.push(point);
-        }
-    }
-    let stats = cache.stats();
-    (results, stats)
+    (points, first_pass.unwrap_or_else(|| cache.stats()))
 }
 
 /// Sorts summaries by predicted energy per instruction, best (lowest) first.

@@ -12,15 +12,36 @@
 //!
 //! [`SimCache`] is the sharded concurrent map the sweep engine consults, with
 //! hit/miss statistics for the sweep report.
+//!
+//! # Bounded caches
+//!
+//! A sweep's cache lives as long as the sweep and is unbounded
+//! ([`SimCache::new`]): it holds at most one entry per distinct key the sweep
+//! asks for, and its statistics feed the sweep report.  A resident process —
+//! the prediction server keeps one cache for its whole lifetime — instead
+//! uses [`SimCache::bounded`], which holds at most
+//! [`SimCache::BOUNDED_ENTRIES`] entries.  Each of the 16 shards is
+//! pre-sized for its 224 entries (`HashMap::with_capacity(224)` fills, but
+//! never regrows, a 256-bucket table), and a shard that is full when a new
+//! key arrives is cleared before the insert.  Clearing keeps the table's
+//! allocation, so the cache's footprint is fixed at start-up: an entry is a
+//! ~64 B key plus ~208 B of counters, ~1 MB for the whole table.  Eviction
+//! cannot change an answer — the counters are a pure function of the key, so
+//! an evicted pair is simulated again to the same bits — it only costs the
+//! simulation the entry had saved.
+//!
+//! Every shard map is valid at rest (a lookup or an insert either happened
+//! or did not), so a lock poisoned by a panicking holder is recovered rather
+//! than propagated: a long-lived cache must not turn one panic into a failure
+//! of every later lookup.
 
 use crate::events::EventCounters;
 use crate::SimConfig;
 use autopower_config::{CpuConfig, HwParam, Workload};
-use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::hash::{BuildHasher, Hash, RandomState};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// The simulation-visible projection of one `(configuration, workload, knobs)`
 /// triple.
@@ -129,6 +150,11 @@ impl SimKey {
 /// Number of independent shards; bounds lock contention under parallel sweeps.
 const SHARDS: usize = 16;
 
+/// Entries one shard of a [`SimCache::bounded`] cache holds before it is
+/// cleared: `HashMap::with_capacity(224)` allocates 256 buckets, whose 7/8
+/// load factor admits exactly 224 entries, so a full shard never regrows.
+const BOUNDED_SHARD_ENTRIES: usize = 224;
+
 /// Hit/miss statistics of a [`SimCache`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SimCacheStats {
@@ -166,19 +192,50 @@ impl SimCacheStats {
 #[derive(Debug)]
 pub struct SimCache {
     shards: Vec<Mutex<HashMap<SimKey, EventCounters>>>,
+    /// Entries a shard holds before it is cleared; `None` is unbounded.
+    shard_capacity: Option<usize>,
     hasher: RandomState,
     hits: AtomicU64,
     misses: AtomicU64,
+    shard_clears: AtomicU64,
+}
+
+/// Locks a shard, recovering from poisoning: a shard map is valid at rest.
+fn relock(
+    shard: &Mutex<HashMap<SimKey, EventCounters>>,
+) -> MutexGuard<'_, HashMap<SimKey, EventCounters>> {
+    shard.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 impl SimCache {
-    /// Creates an empty cache.
+    /// Most entries a [`SimCache::bounded`] cache ever holds (3,584: 16
+    /// shards of 224).  At ~272 B per entry that is ~1 MB, fixed at
+    /// construction.
+    pub const BOUNDED_ENTRIES: usize = SHARDS * BOUNDED_SHARD_ENTRIES;
+
+    /// Creates an empty, unbounded cache: the cache of one sweep.
     pub fn new() -> Self {
+        Self::with_shard_capacity(None)
+    }
+
+    /// Creates an empty cache that never holds more than
+    /// [`SimCache::BOUNDED_ENTRIES`] entries: the cache of a resident
+    /// process.  Each shard's table is allocated at its full size here and
+    /// never regrows; a full shard is cleared when a new key arrives.
+    pub fn bounded() -> Self {
+        Self::with_shard_capacity(Some(BOUNDED_SHARD_ENTRIES))
+    }
+
+    fn with_shard_capacity(shard_capacity: Option<usize>) -> Self {
         Self {
-            shards: (0..SHARDS).map(|_| Mutex::new(HashMap::new())).collect(),
+            shards: (0..SHARDS)
+                .map(|_| Mutex::new(HashMap::with_capacity(shard_capacity.unwrap_or(0))))
+                .collect(),
+            shard_capacity,
             hasher: RandomState::new(),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
+            shard_clears: AtomicU64::new(0),
         }
     }
 
@@ -193,28 +250,31 @@ impl SimCache {
     /// never serialized behind a simulation.  Two workers may therefore both
     /// simulate one key; the one whose insert creates the entry counts the
     /// miss and the other counts a hit, so the statistics count one miss per
-    /// stored entry whatever the thread timing.
+    /// stored entry whatever the thread timing.  In a bounded cache, an
+    /// insert into a full shard clears the shard first.
     pub fn counters_for(
         &self,
         key: SimKey,
         simulate: impl FnOnce() -> EventCounters,
     ) -> EventCounters {
         let shard = self.shard(&key);
-        if let Some(counters) = shard.lock().expect("sim cache lock poisoned").get(&key) {
+        if let Some(counters) = relock(shard).get(&key) {
             self.hits.fetch_add(1, Ordering::Relaxed);
             return *counters;
         }
         let counters = simulate();
-        match shard.lock().expect("sim cache lock poisoned").entry(key) {
-            Entry::Vacant(slot) => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                *slot.insert(counters)
-            }
-            Entry::Occupied(entry) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                *entry.get()
-            }
+        let mut map = relock(shard);
+        if let Some(existing) = map.get(&key) {
+            self.hits.fetch_add(1, Ordering::Relaxed);
+            return *existing;
         }
+        if self.shard_capacity.is_some_and(|cap| map.len() >= cap) {
+            map.clear();
+            self.shard_clears.fetch_add(1, Ordering::Relaxed);
+        }
+        map.insert(key, counters);
+        self.misses.fetch_add(1, Ordering::Relaxed);
+        counters
     }
 
     /// Hit/miss statistics accumulated so far.
@@ -225,12 +285,15 @@ impl SimCache {
         }
     }
 
+    /// How many times a full shard of a bounded cache was cleared (always
+    /// zero for an unbounded one).
+    pub fn shard_clears(&self) -> u64 {
+        self.shard_clears.load(Ordering::Relaxed)
+    }
+
     /// Number of distinct simulations stored.
     pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.lock().expect("sim cache lock poisoned").len())
-            .sum()
+        self.shards.iter().map(|s| relock(s).len()).sum()
     }
 
     /// Whether the cache holds no entries.
@@ -367,6 +430,112 @@ mod tests {
             a.features(),
             SimKey::new(&cfgs[0], Workload::Qsort, &sim).features()
         );
+    }
+
+    /// A distinct key per `i` (the stream seed is part of the key) and
+    /// counters that name it, so no test below needs a real simulation.
+    fn synthetic(i: u64) -> (SimKey, EventCounters) {
+        let sim = SimConfig {
+            stream_seed: i,
+            ..SimConfig::fast()
+        };
+        let key = SimKey::new(&boom_configs()[0], Workload::Qsort, &sim);
+        let counters = EventCounters {
+            cycles: i + 1,
+            committed: i,
+            ..EventCounters::default()
+        };
+        (key, counters)
+    }
+
+    #[test]
+    fn bounded_cache_never_holds_more_than_its_bound() {
+        let cache = SimCache::bounded();
+        let n = 3 * SimCache::BOUNDED_ENTRIES as u64;
+        for i in 0..n {
+            let (key, counters) = synthetic(i);
+            assert_eq!(cache.counters_for(key, || counters), counters);
+            assert!(
+                cache.len() <= SimCache::BOUNDED_ENTRIES,
+                "{} entries",
+                cache.len()
+            );
+        }
+        // Every key was new, so every lookup missed, and reaching three times
+        // the bound must have cleared shards along the way.
+        assert_eq!(cache.stats(), SimCacheStats { hits: 0, misses: n });
+        assert!(cache.shard_clears() > 0);
+        // The shards keep the tables they were built with.
+        for shard in &cache.shards {
+            assert!(shard.lock().unwrap().capacity() >= BOUNDED_SHARD_ENTRIES);
+        }
+        // An unbounded cache keeps everything.
+        let unbounded = SimCache::new();
+        for i in 0..n {
+            let (key, counters) = synthetic(i);
+            unbounded.counters_for(key, || counters);
+        }
+        assert_eq!(unbounded.len(), n as usize);
+        assert_eq!(unbounded.shard_clears(), 0);
+    }
+
+    #[test]
+    fn a_cleared_shard_gives_back_the_same_counters() {
+        let cache = SimCache::with_shard_capacity(Some(2));
+        let cfg = boom_configs()[5];
+        let sim = SimConfig::fast();
+        let key = SimKey::new(&cfg, Workload::Median, &sim);
+        let first = cache.counters_for(key, || simulate(&cfg, Workload::Median, &sim).counters);
+        // Fill every shard past its capacity of two: the key's shard is
+        // cleared at least once, so the key is gone and simulates again.
+        let mut i = 0;
+        while cache.shard_clears() < SHARDS as u64 * 2 {
+            let (other, counters) = synthetic(i);
+            cache.counters_for(other, || counters);
+            i += 1;
+        }
+        assert!(cache.len() <= SHARDS * 2);
+        let mut simulated = false;
+        let again = cache.counters_for(key, || {
+            simulated = true;
+            simulate(&cfg, Workload::Median, &sim).counters
+        });
+        assert!(
+            simulated,
+            "the evicted key was answered without a simulation"
+        );
+        assert_eq!(again, first);
+        // Now cached again: a hit, without a simulation.
+        assert_eq!(
+            cache.counters_for(key, || panic!("hit must not simulate")),
+            first
+        );
+    }
+
+    #[test]
+    fn a_poisoned_shard_still_answers() {
+        let cache = SimCache::bounded();
+        let (key, counters) = synthetic(7);
+        cache.counters_for(key, || counters);
+        // Panic while holding every shard's lock.
+        for shard in &cache.shards {
+            let _ = std::thread::scope(|s| {
+                s.spawn(|| {
+                    let _guard = shard.lock().unwrap();
+                    panic!("deliberate poison");
+                })
+                .join()
+            });
+            assert!(shard.is_poisoned());
+        }
+        assert_eq!(
+            cache.counters_for(key, || panic!("hit must not simulate")),
+            counters
+        );
+        let (fresh, fresh_counters) = synthetic(8);
+        assert_eq!(cache.counters_for(fresh, || fresh_counters), fresh_counters);
+        assert_eq!(cache.stats(), SimCacheStats { hits: 1, misses: 2 });
+        assert_eq!(cache.len(), 2);
     }
 
     #[test]

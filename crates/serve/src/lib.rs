@@ -7,10 +7,12 @@
 //! owns one `Box<dyn PowerModel>` per loaded [`ModelKind`](autopower::ModelKind),
 //! and answers predict requests over a hand-rolled length-prefixed binary
 //! protocol ([`protocol`]) on [`std::net::TcpListener`] — the workspace is
-//! offline, so there is no async runtime; the concurrency substrate is the
-//! same thread-per-worker shape as the sweep's `parallel_map_with`, with each
-//! scoring worker holding a long-lived [`EngineScratch`](autopower::EngineScratch)
-//! (and, inside it, the `FeatureScratch` the predictors reuse).
+//! offline, so there is no async runtime; the concurrency substrate is a
+//! pool of scoring threads, each holding a long-lived
+//! [`EngineScratch`](autopower::EngineScratch) (and, inside it, the
+//! `FeatureScratch` the predictors reuse), all sharing one server-lifetime
+//! simulation cache so a repeated `(configuration, workload)` pair is never
+//! simulated twice.
 //!
 //! # Correctness bar
 //!
@@ -21,7 +23,8 @@
 //!
 //! 1. The sweep engine is bit-identical across thread counts, chunk sizes and
 //!    simulation-cache settings (pinned since PR 2/6), so *where* a point is
-//!    scored cannot matter.
+//!    scored — and whether its simulation came from the shared cache —
+//!    cannot matter.
 //! 2. Batching is bit-identical to per-point scoring (pinned in PR 5), so the
 //!    server may merge concurrent requests into one scoring batch.
 //! 3. The wire codec round-trips every [`Prediction`](autopower::Prediction)

@@ -11,6 +11,9 @@
 //!                                                    │
 //!                                            worker pool (N threads,
 //!                                      each owns one long-lived scratch)
+//!                                                    │
+//!                                     one server-lifetime SimCache, shared
+//!                                        by every worker and every batch
 //! ```
 //!
 //! Connection threads decode frames and enqueue jobs; the batcher merges
@@ -18,9 +21,24 @@
 //! (sound because batch scoring is pinned bit-identical to per-point
 //! scoring); workers run each batch through
 //! [`SweepEngine::run_with`] with a per-worker [`EngineScratch`] that lives
-//! as long as the worker — the same reuse discipline as `parallel_map_with`
-//! in the sweep, so the heavyweight buffers are materialized once per
-//! worker, not once per request.
+//! as long as the worker, so the heavyweight buffers are materialized once
+//! per worker, not once per request.
+//!
+//! # The simulation cache
+//!
+//! Simulation is nearly all of a request's scoring time, and clients keep
+//! asking about the same neighbouring configurations.  Every batch's engine
+//! therefore borrows ([`SweepEngine::with_cache`]) one [`SimCache`] owned by
+//! the server: a `(configuration, workload)` pair that any earlier request
+//! asked for is answered without simulating it again.  The cached counters
+//! are a pure function of the [`SimKey`](autopower_perfsim::SimKey) — the
+//! simulation-visible configuration, the workload and the server's fixed
+//! simulation knobs — so an answer from the cache is bit-identical to a
+//! fresh simulation.  The cache is [`SimCache::bounded`]: a fixed ~1 MB
+//! table of [`SimCache::BOUNDED_ENTRIES`] entries that clears a full shard
+//! rather than grow.  On drain the server prints its statistics as one
+//! stderr line (`autopower-serve: sim_cache entries=… hits=… misses=…
+//! shard_clears=…`); stdout is never touched.
 //!
 //! # Hot reload and drain
 //!
@@ -28,9 +46,10 @@
 //! captures its `Arc` at enqueue time, so a concurrent reload never changes
 //! an in-flight request: reload loads every path fresh (all-or-nothing — a
 //! corrupt file refuses the whole reload and the old set keeps serving),
-//! then swaps the `Arc`.  Shutdown acknowledges, stops accepting, lets every
-//! queued job finish, joins every thread, and returns — never a panic, never
-//! a hang.
+//! then swaps the `Arc`.  The simulation cache survives a reload: no power
+//! model reaches the counters it holds.  Shutdown acknowledges, stops
+//! accepting, lets every queued job finish, joins every thread, and returns
+//! — never a panic, never a hang.
 
 use crate::faults::{FaultPlan, FaultStream};
 use crate::protocol::{
@@ -41,7 +60,7 @@ use autopower::{
     load_model, AutoPowerError, EngineScratch, ModelKind, PowerModel, SweepEngine, SweepSpec,
 };
 use autopower_config::{CpuConfig, Workload};
-use autopower_perfsim::SimConfig;
+use autopower_perfsim::{SimCache, SimConfig};
 use std::collections::VecDeque;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -278,6 +297,9 @@ struct ServerState {
     in_flight_points: AtomicU64,
     /// Armed fault schedule; `None` on every production server.
     faults: Option<Arc<FaultPlan>>,
+    /// The simulations every scoring batch shares, for the server's
+    /// lifetime (reloads included).
+    sim_cache: SimCache,
 }
 
 impl ServerState {
@@ -390,6 +412,7 @@ impl Server {
             faults: options
                 .fault_seed
                 .map(|seed| Arc::new(FaultPlan::new(seed))),
+            sim_cache: SimCache::bounded(),
         });
 
         let (group_tx, group_rx) = mpsc::channel::<BatchGroup>();
@@ -420,6 +443,13 @@ impl Server {
     /// The address the server actually bound (resolves ephemeral ports).
     pub fn addr(&self) -> SocketAddr {
         self.addr
+    }
+
+    /// The server-lifetime simulation cache every scoring batch borrows —
+    /// for its statistics ([`SimCache::stats`], [`SimCache::len`],
+    /// [`SimCache::shard_clears`]).
+    pub fn sim_cache(&self) -> &SimCache {
+        &self.state.sim_cache
     }
 
     /// Test hook: poisons the internal job-queue lock by panicking a thread
@@ -502,6 +532,15 @@ fn accept_loop(
     if let Some(h) = watcher {
         let _ = h.join();
     }
+    let cache = &state.sim_cache;
+    let stats = cache.stats();
+    eprintln!(
+        "autopower-serve: sim_cache entries={} hits={} misses={} shard_clears={}",
+        cache.len(),
+        stats.hits,
+        stats.misses,
+        cache.shard_clears()
+    );
 }
 
 /// The model-file watcher: polls every startup path's mtime at the
@@ -638,7 +677,7 @@ fn merge_jobs(jobs: Vec<Job>, max_batch: usize) -> Vec<BatchGroup> {
 }
 
 /// One scoring worker: owns a long-lived [`EngineScratch`] and scores batch
-/// groups until the channel closes.
+/// groups through the server's shared [`SimCache`] until the channel closes.
 fn worker_loop(groups: &Mutex<mpsc::Receiver<BatchGroup>>, state: &ServerState) {
     let spec = state.options.sweep_spec();
     let mut scratch = EngineScratch::new();
@@ -660,7 +699,7 @@ fn worker_loop(groups: &Mutex<mpsc::Receiver<BatchGroup>>, state: &ServerState) 
             if let Some(plan) = &state.faults {
                 assert!(!plan.next_worker_panic(), "injected worker panic");
             }
-            let engine = SweepEngine::new(group.model.as_ref(), spec);
+            let engine = SweepEngine::with_cache(group.model.as_ref(), spec, &state.sim_cache);
             engine.run_with(&group.configs, &group.workloads, &mut scratch, &mut points);
         }));
         match scored {
@@ -680,7 +719,9 @@ fn worker_loop(groups: &Mutex<mpsc::Receiver<BatchGroup>>, state: &ServerState) 
                 }
             }
             Err(_) => {
-                // The scratch may be mid-update; rebuild it.
+                // The scratch may be mid-update; rebuild it.  The shared
+                // simulation cache needs no rebuild: its shard maps are
+                // valid at rest and a poisoned shard lock is recovered.
                 scratch = EngineScratch::new();
                 points = Vec::new();
                 for (reply, _) in &group.segments {

@@ -1,6 +1,7 @@
 //! End-to-end tests of the running server: bit-identity against the offline
-//! sweep across batch sizes, connection counts and worker counts; hot-reload
-//! semantics; framing-error recovery; graceful drain.
+//! sweep across batch sizes, connection counts and worker counts; the
+//! server-lifetime simulation cache; hot-reload semantics; framing-error
+//! recovery; graceful drain.
 //!
 //! One fixture trains and saves two models (`autopower` — grouped
 //! predictions — and `mcpat-calib-component` — per-component predictions, so
@@ -10,12 +11,14 @@
 
 use autopower::{load_model, ModelKind, SweepEngine, SweepPoint, SweepSpec};
 use autopower_config::{boom_configs, ConfigId, CpuConfig, DesignSpace, Workload};
+use autopower_perfsim::{SimCacheStats, SimKey};
 use autopower_serve::client::{Client, ClientError};
 use autopower_serve::protocol::{
     read_frame, write_frame, ErrorCode, Frame, ServedPoint, MAGIC, PROTOCOL_VERSION,
 };
 use autopower_serve::server::{ServeOptions, Server};
 use proptest::prelude::*;
+use std::collections::HashSet;
 use std::io::Write as _;
 use std::net::TcpStream;
 use std::path::{Path, PathBuf};
@@ -160,6 +163,56 @@ proptest! {
     }
 }
 
+/// Distinct simulation keys over every `(configuration, workload)` pair of
+/// `requests`, under the fast settings the test servers score with.
+fn distinct_keys(requests: &[&[CpuConfig]], workloads: &[Workload]) -> u64 {
+    let sim = ServeOptions::fast().sim;
+    let keys: HashSet<SimKey> = requests
+        .iter()
+        .flat_map(|configs| configs.iter())
+        .flat_map(|config| workloads.iter().map(|&w| SimKey::new(config, w, &sim)))
+        .collect();
+    keys.len() as u64
+}
+
+#[test]
+fn repeated_and_overlapping_requests_are_answered_from_the_server_cache() {
+    let fx = fixture();
+    let options = ServeOptions {
+        workers: 2,
+        ..ServeOptions::fast()
+    };
+    let server = start_server(vec![fx.autopower.clone()], options);
+    let mut client = connect(&server);
+    let pool = DesignSpace::boom().sample(6, 8080);
+    let workloads = [Workload::Dhrystone, Workload::Qsort];
+    // The second request overlaps the first in two configurations; the third
+    // repeats the first.
+    let requests: [&[CpuConfig]; 3] = [&pool[..4], &pool[2..], &pool[..4]];
+    for (i, configs) in requests.iter().enumerate() {
+        let served = client
+            .predict(ModelKind::AutoPower, configs, &workloads)
+            .expect("predict succeeds");
+        assert_matches_offline(&served, &offline_points(&fx.autopower, configs, &workloads));
+        if i == 1 {
+            // Every pair was simulated once: the overlap was a hit.
+            let lookups = (requests[0].len() + requests[1].len()) * workloads.len();
+            let misses = distinct_keys(&requests[..2], &workloads);
+            let stats = server.sim_cache().stats();
+            assert_eq!(stats.misses, misses);
+            assert_eq!(stats.hits, lookups as u64 - misses);
+            assert!(stats.hits >= 2 * workloads.len() as u64);
+        }
+    }
+    // The repeat simulated nothing.
+    let stats = server.sim_cache().stats();
+    assert_eq!(stats.misses, distinct_keys(&requests, &workloads));
+    assert_eq!(stats.lookups(), (4 + 4 + 4) * workloads.len() as u64);
+    assert_eq!(server.sim_cache().len() as u64, stats.misses);
+    assert_eq!(server.sim_cache().shard_clears(), 0);
+    stop(server);
+}
+
 #[test]
 fn worker_count_and_batching_knobs_do_not_change_predictions() {
     let fx = fixture();
@@ -250,10 +303,22 @@ fn hot_reload_swaps_the_model_between_requests() {
     let kinds = client.reload().expect("reload succeeds");
     assert_eq!(kinds, vec![ModelKind::McpatCalibComponent]);
 
+    // The post-reload request repeats every pair of the first one: the
+    // simulation cache survives the reload, and its counters feed the new
+    // model to the new model's offline answer.
+    let cached = server.sim_cache().stats();
     let after = client
         .predict(ModelKind::McpatCalibComponent, &configs, &workloads)
         .expect("predict against the reloaded file");
     assert_matches_offline(&after, &offline_points(&fx.component, &configs, &workloads));
+    let pairs = (configs.len() * workloads.len()) as u64;
+    assert_eq!(
+        server.sim_cache().stats(),
+        SimCacheStats {
+            hits: cached.hits + pairs,
+            misses: cached.misses,
+        }
+    );
 
     // The old kind is gone after the swap.
     match client.predict(ModelKind::AutoPower, &configs, &workloads) {
