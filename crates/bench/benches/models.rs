@@ -2,9 +2,10 @@
 //! raw GBDT fit cost at paper-scale settings.
 //!
 //! Trains each of the four registry models on the same fast corpus and
-//! measures (a) time to train and (b) single-run prediction throughput through
-//! the `dyn PowerModel` trait path — the cost the sweep, trace and
-//! cross-validation engines actually pay per point.  The `gbdt_fit_*` benches
+//! measures (a) time to train and (b) single-run prediction throughput
+//! through the `dyn PowerModel` trait path — the cost the sweep, trace and
+//! cross-validation engines actually pay per point.  `train_surrogate_fast`
+//! times the activity-surrogate fit of the repository benchmark's set-up.  The `gbdt_fit_*` benches
 //! isolate the boosting trainer itself (120 trees, the paper's setting) on a
 //! synthetic 128 × 32 design so the pre-sorted tree builder is measured
 //! without any substrate cost; `gbdt_predict_batch_*` time batched forest
@@ -12,9 +13,12 @@
 //!
 //! Run with `cargo bench --bench models [filter] [--json FILE]`.
 
-use autopower::{Corpus, CorpusSpec, ModelKind, PowerModel};
+use autopower::{
+    surrogate_gbdt_params, ActivitySurrogate, Corpus, CorpusSpec, ModelKind, PowerModel, SweepSpec,
+    SURROGATE_TRAIN_SEED,
+};
 use autopower_bench::harness::Bench;
-use autopower_config::{boom_configs, ConfigId, Workload};
+use autopower_config::{boom_configs, ConfigId, DesignSpace, Workload};
 use autopower_ml::{GbdtParams, GradientBoosting, Matrix, Regressor};
 use std::hint::black_box;
 
@@ -85,9 +89,10 @@ fn main() {
     }
 
     let cfgs = boom_configs();
+    let workloads = [Workload::Dhrystone, Workload::Qsort, Workload::Vvadd];
     let corpus = Corpus::generate(
         &[cfgs[0], cfgs[7], cfgs[14]],
-        &[Workload::Dhrystone, Workload::Qsort, Workload::Vvadd],
+        &workloads,
         &CorpusSpec::fast(),
     );
     let train = [ConfigId::new(1), ConfigId::new(15)];
@@ -103,6 +108,24 @@ fn main() {
             black_box(kind.train(&corpus, &train).expect("training succeeds"))
         });
     }
+
+    // The activity surrogate as the repository benchmark fits it at set-up:
+    // 24 sampled configurations, each simulated on three workloads, then
+    // one ensemble per (workload, event) output.
+    let space = DesignSpace::boom();
+    bench.bench("train_surrogate_fast", || {
+        black_box(
+            ActivitySurrogate::train(
+                &space,
+                &workloads,
+                &SweepSpec::fast().sim,
+                24,
+                SURROGATE_TRAIN_SEED,
+                &surrogate_gbdt_params(),
+            )
+            .expect("training succeeds"),
+        )
+    });
 
     let models: Vec<(ModelKind, Box<dyn PowerModel>)> = ModelKind::ALL
         .into_iter()

@@ -79,7 +79,7 @@ impl CorpusSpec {
     /// setting, or the available parallelism when the setting is `0`.
     pub fn effective_threads(&self) -> usize {
         if self.threads == 0 {
-            std::thread::available_parallelism().map_or(1, |n| n.get())
+            autopower_ml::parallel::available_threads()
         } else {
             self.threads
         }

@@ -19,10 +19,10 @@
 //! `threads(n)` merely overlaps independent substrate invocations, all of
 //! which are pure functions of their inputs.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use autopower_config::{CpuConfig, Workload};
+pub(crate) use autopower_ml::parallel::{parallel_map, parallel_map_with};
 use autopower_netlist::{synthesize, Netlist};
 use autopower_perfsim::{simulate_with, SimResult, SimScratch};
 use autopower_powersim::{evaluate_run, PowerReport};
@@ -148,73 +148,6 @@ impl<'a> SubstratePipeline<'a> {
             })
             .collect()
     }
-}
-
-/// Maps `f` over `0..n`, preserving index order in the output.
-///
-/// With `threads <= 1` (or a trivial input) this is a plain serial loop; the
-/// parallel path hands out indices through an atomic cursor to a scoped worker
-/// pool and writes each result into its input-indexed slot, so the output is
-/// identical to the serial path for any pure `f`.
-pub(crate) fn parallel_map<T, F>(threads: usize, n: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    parallel_map_with(threads, n, || (), |(), i| f(i))
-}
-
-/// [`parallel_map`] with per-worker mutable state: `init` builds one state
-/// value per worker and `f` receives it alongside the index.
-///
-/// This is how the substrate pipeline hands each worker a reusable
-/// [`SimScratch`]: the state lives as long as the worker, so `f` can reuse
-/// buffers across every job the worker claims without any sharing or
-/// locking.
-///
-/// When the effective worker count is 1, the closure runs **inline** on the
-/// calling thread over one state value — no `thread::scope`, no per-slot
-/// mutexes, no atomics (PR 1 measured that pure pool overhead costs ~8 % at
-/// one core).  The output is bit-identical either way for any pure `f`,
-/// pinned by the thread-invariance tests.
-pub(crate) fn parallel_map_with<T, S, I, F>(threads: usize, n: usize, init: I, f: F) -> Vec<T>
-where
-    T: Send,
-    I: Fn() -> S + Sync,
-    F: Fn(&mut S, usize) -> T + Sync,
-{
-    let workers = threads.min(n);
-    if workers <= 1 {
-        // Serial fast path: inline, allocation-free aside from the output.
-        let mut state = init();
-        return (0..n).map(|i| f(&mut state, i)).collect();
-    }
-
-    let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| {
-                let mut state = init();
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    let value = f(&mut state, i);
-                    *slots[i].lock().expect("result slot poisoned") = Some(value);
-                }
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .expect("result slot poisoned")
-                .expect("every index was claimed by exactly one worker")
-        })
-        .collect()
 }
 
 #[cfg(test)]

@@ -33,6 +33,7 @@
 
 use crate::error::AutoPowerError;
 use autopower_config::{seed, ConfigId, DesignSpace, Workload};
+use autopower_ml::parallel::{available_threads, parallel_map_with};
 use autopower_ml::{fit_multi_output, GbdtParams, GradientBoosting, Matrix};
 use autopower_perfsim::{
     simulate_counters_with, EventParams, SimCache, SimConfig, SimKey, SimScratch,
@@ -118,6 +119,10 @@ impl ActivitySurrogate {
     /// exactly (the oracle's training set) and fitting one GBDT per
     /// `(workload, event)` output over the shared feature matrix.
     ///
+    /// Training is parallel and bit-identical for any core count: the
+    /// oracle simulations and the per-output fits each run on every
+    /// available core and are collected in a fixed order.
+    ///
     /// # Errors
     ///
     /// Returns [`AutoPowerError::Surrogate`] when `count` is zero, no
@@ -151,21 +156,32 @@ impl ActivitySurrogate {
         }
         let x = Matrix::from_flat(configs.len(), SimKey::FEATURE_COUNT, features);
 
-        // Oracle pass: exact simulations, deduplicated along the
-        // simulation-invisible axes exactly like the sweep itself.
+        // Oracle pass: exact simulations on every core, one scratch per
+        // worker, deduplicated along the simulation-invisible axes exactly
+        // like the sweep itself.  Rates come back in (config, workload)
+        // order whatever the scheduling.
         let cache = SimCache::new();
-        let mut scratch = SimScratch::new();
+        let rates = parallel_map_with(
+            available_threads(),
+            configs.len() * workloads.len(),
+            SimScratch::new,
+            |scratch, i| {
+                let (config, workload) = (
+                    &configs[i / workloads.len()],
+                    workloads[i % workloads.len()],
+                );
+                let counters = cache.counters_for(SimKey::new(config, workload, sim), || {
+                    simulate_counters_with(config, workload, sim, scratch)
+                });
+                EventParams::raw_rates(&counters)
+            },
+        );
         let mut targets: Vec<Vec<f64>> =
             vec![Vec::with_capacity(configs.len()); workloads.len() * event_count];
-        for config in &configs {
-            for (w, &workload) in workloads.iter().enumerate() {
-                let counters = cache.counters_for(SimKey::new(config, workload, sim), || {
-                    simulate_counters_with(config, workload, sim, &mut scratch)
-                });
-                let raw = EventParams::raw_rates(&counters);
-                for (e, &rate) in raw.iter().enumerate() {
-                    targets[w * event_count + e].push(rate);
-                }
+        for (i, raw) in rates.iter().enumerate() {
+            let w = i % workloads.len();
+            for (e, &rate) in raw.iter().enumerate() {
+                targets[w * event_count + e].push(rate);
             }
         }
 

@@ -46,6 +46,7 @@ mod linear;
 mod matrix;
 pub mod metrics;
 mod multi;
+pub mod parallel;
 mod tree;
 
 pub use dataset::{Dataset, Standardizer};

@@ -10,6 +10,7 @@
 use crate::error::FitError;
 use crate::gbdt::{GbdtParams, GradientBoosting};
 use crate::matrix::Matrix;
+use crate::parallel::{available_threads, parallel_map};
 
 /// Fits one [`GradientBoosting`] model per target series over the shared
 /// feature matrix `x`.
@@ -20,10 +21,14 @@ use crate::matrix::Matrix;
 /// (when `subsample < 1`) decorrelate across outputs while staying fully
 /// deterministic.
 ///
+/// The fits are independent, so they run in parallel on every available
+/// core ([`available_threads`]) and are collected in output order: the
+/// models are bit-identical for any core count.
+///
 /// # Errors
 ///
 /// Returns [`FitError::EmptyTrainingSet`] when `targets` is empty, and
-/// propagates the first per-output fit error otherwise.
+/// the per-output fit error of the lowest failing output otherwise.
 pub fn fit_multi_output(
     params: &GbdtParams,
     x: &Matrix,
@@ -32,16 +37,16 @@ pub fn fit_multi_output(
     if targets.is_empty() {
         return Err(FitError::EmptyTrainingSet);
     }
-    let mut models = Vec::with_capacity(targets.len());
-    for (k, y) in targets.iter().enumerate() {
+    parallel_map(available_threads(), targets.len(), |k| {
         let mut model = GradientBoosting::new(GbdtParams {
             seed: params.seed.wrapping_add(k as u64),
             ..*params
         });
-        model.fit_matrix(x, y)?;
-        models.push(model);
-    }
-    Ok(models)
+        model.fit_matrix(x, &targets[k])?;
+        Ok(model)
+    })
+    .into_iter()
+    .collect()
 }
 
 #[cfg(test)]
@@ -70,6 +75,33 @@ mod tests {
         assert_eq!(models.len(), 2);
         assert!((models[0].forest().predict_row(&[10.0, 0.0]) - 21.0).abs() < 2.0);
         assert!((models[1].forest().predict_row(&[0.0, 20.0]) - 7.0).abs() < 2.0);
+    }
+
+    #[test]
+    fn parallel_fits_equal_serial_fits_in_output_order() {
+        use serde::codec::{Codec, Writer};
+        let (x, base) = shared_matrix();
+        let targets: Vec<Vec<f64>> = (0..7)
+            .map(|k| base[k % 2].iter().map(|y| y * (k + 1) as f64).collect())
+            .collect();
+        let params = GbdtParams {
+            subsample: 0.7,
+            ..GbdtParams::default()
+        };
+        let encode = |model: &GradientBoosting| {
+            let mut w = Writer::new();
+            model.encode(&mut w);
+            w.finish()
+        };
+        let models = fit_multi_output(&params, &x, &targets).unwrap();
+        for (k, (model, y)) in models.iter().zip(&targets).enumerate() {
+            let mut serial = GradientBoosting::new(GbdtParams {
+                seed: params.seed + k as u64,
+                ..params
+            });
+            serial.fit_matrix(&x, y).unwrap();
+            assert_eq!(encode(model), encode(&serial), "output {k}");
+        }
     }
 
     #[test]

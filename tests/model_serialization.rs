@@ -135,6 +135,48 @@ fn tampered_files_fail_loudly() {
     assert!(decode_model(&trailing).is_err());
 }
 
+/// Maps a field's value to its corrupted form.
+type Tamper = fn(&str) -> String;
+
+/// Rewrites the value of the first line whose field is `name` with
+/// `tamper`, and returns the new text and that line's 1-based number.
+fn corrupt_value(text: &str, name: &str, tamper: Tamper) -> (String, usize) {
+    let mut lines: Vec<String> = text.lines().map(str::to_owned).collect();
+    let index = lines
+        .iter()
+        .position(|line| line.trim_start().starts_with(&format!("{name} ")))
+        .unwrap_or_else(|| panic!("no '{name}' line"));
+    let line = &mut lines[index];
+    let start = line.find(&format!("{name} ")).unwrap() + name.len() + 1;
+    let end = line[start..].find(' ').map_or(line.len(), |n| start + n);
+    let value = tamper(&line[start..end]);
+    line.replace_range(start..end, &value);
+    (lines.join("\n") + "\n", index + 1)
+}
+
+#[test]
+fn a_signed_scalar_in_a_saved_model_is_refused_with_its_line() {
+    let trained = ModelKind::AutoPower.train(corpus(), &train_ids()).unwrap();
+    let text = encode_model(trained.as_ref());
+    // The writer never signs a value, so a signed one is corruption even
+    // where the digits would still parse: `+3FF000000000000` keeps the
+    // 16-character shape of an f64 field, and `+N` parses as a u64.
+    let cases: [(&str, Tamper, &str); 4] = [
+        ("threshold", |v| format!("+{}", &v[1..]), "malformed bits"),
+        ("len", |v| format!("+{v}"), "malformed integer"),
+        ("feature", |v| format!("-{v}"), "malformed integer"),
+        ("weight", |v| format!("{}g", &v[1..]), "malformed bits"),
+    ];
+    for (name, tamper, kind) in cases {
+        let (tampered, line) = corrupt_value(&text, name, tamper);
+        let err = decode_model(&tampered).unwrap_err().to_string();
+        assert!(
+            err.contains(&format!("line {line}: field '{name}': {kind}")),
+            "{name}: {err}"
+        );
+    }
+}
+
 #[test]
 fn serialization_also_pins_the_trained_model_against_behavioural_drift() {
     // A PowerModel is deterministic: training twice and loading a saved copy
