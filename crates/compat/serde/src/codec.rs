@@ -53,9 +53,16 @@
 //! whitespace: every line reads, and every error names its line, exactly as
 //! under the general tokenizer alone.  Scalars are strict: an `f64` is
 //! exactly 16 hex digits and a `u64` decimal digits only, so a signed value
-//! (which `str::parse` would take) is refused.  On the fast-trained
-//! AutoPower model (16.8 MB, 453,745 lines) a load spends ~4 ms reading the
-//! file and ~20 ms decoding it on a 2-vCPU VM.
+//! (which `str::parse` would take) is refused.  [`push_bits`],
+//! [`parse_f64_bits`] and [`parse_u64`] expose the same scalar forms for
+//! values packed several to a token.
+//!
+//! The fast-trained AutoPower model is its heaviest user: 1.4 MB and 19,029
+//! lines since model format version 2 stores each forest as its distinct
+//! tree shapes plus one line of packed leaf bits per tree (16.8 MB and
+//! 453,745 lines before, one scope per tree node).  On a 2-vCPU VM a load
+//! of it takes ~6 ms, a good part of it compiling the forests for inference
+//! rather than reading text, and a save ~7 ms.
 //!
 //! Text that does not change between encodes need not be formatted again:
 //! [`Writer::capture`] keeps a copy of the lines it writes as a [`Fragment`],
@@ -289,13 +296,7 @@ impl<'s> Writer<'s> {
     /// Panics if `name` is not a whitespace-free token.
     pub fn f64(&mut self, name: &str, value: f64) {
         self.field(name);
-        let bits = value.to_bits();
-        let mut hex = [0u8; 16];
-        for (i, digit) in hex.iter_mut().enumerate() {
-            *digit = HEX_DIGITS[(bits >> (60 - 4 * i)) as usize & 0xF];
-        }
-        self.out
-            .push_str(std::str::from_utf8(&hex).expect("hex digits are ASCII"));
+        push_bits(&mut self.out, value);
         self.out.push_str(" ; ");
         write!(self.out, "{value}").expect("writing to a String cannot fail");
         self.newline();
@@ -473,8 +474,29 @@ const NIBBLE: [u8; 256] = {
     nibble
 };
 
+/// Appends the 16 upper-case hex digits of `value`'s IEEE-754 bits, the
+/// token [`Writer::f64`] writes before its comment.  For values packed into
+/// one token with others (a list of leaf weights on one line).
+pub fn push_bits(out: &mut String, value: f64) {
+    let bits = value.to_bits();
+    let mut hex = [0u8; 16];
+    for (i, digit) in hex.iter_mut().enumerate() {
+        *digit = HEX_DIGITS[(bits >> (60 - 4 * i)) as usize & 0xF];
+    }
+    out.push_str(std::str::from_utf8(&hex).expect("hex digits are ASCII"));
+}
+
+/// The `f64` of a [`push_bits`] token: exactly 16 hex digits, no sign, or
+/// `None`.
+pub fn parse_f64_bits(value: &str) -> Option<f64> {
+    (value.len() == 16)
+        .then(|| parse_bits(value))
+        .flatten()
+        .map(f64::from_bits)
+}
+
 /// A decimal `u64` of digits only (no sign), or `None`.
-fn parse_u64(value: &str) -> Option<u64> {
+pub fn parse_u64(value: &str) -> Option<u64> {
     if value.is_empty() {
         return None;
     }
@@ -763,12 +785,25 @@ impl<'a> Reader<'a> {
 
     /// Opens a list scope and returns its declared length.
     ///
+    /// Every entry takes at least one line, so a length above the bytes
+    /// left in the stream is refused: decoders reserve room for `len`
+    /// entries, and a corrupted length must not become a huge allocation.
+    ///
     /// # Errors
     ///
-    /// Returns a [`CodecError`] if the scope or its `len` field is missing.
+    /// Returns a [`CodecError`] if the scope or its `len` field is missing,
+    /// or the length exceeds the rest of the stream.
     pub fn begin_list(&mut self, tag: &str) -> Result<usize, CodecError> {
         self.begin(tag)?;
-        Ok(self.u64("len")? as usize)
+        let len = self.u64("len")?;
+        let rest = self.text.len() - self.at;
+        match usize::try_from(len) {
+            Ok(len) if len <= rest => Ok(len),
+            _ => Err(CodecError::new(
+                self.pos,
+                format!("list '{tag}' of {len} entries exceeds the {rest} bytes left"),
+            )),
+        }
     }
 
     /// Reads back an [`Writer::f64_seq`] list.
@@ -1653,6 +1688,20 @@ mod tests {
         assert_eq!(r.str("name").unwrap(), "mcpat-calib");
         r.end().unwrap();
         r.expect_eof().unwrap();
+    }
+
+    #[test]
+    fn a_list_longer_than_the_rest_of_the_stream_is_refused() {
+        let mut w = Writer::new();
+        w.f64_seq("coeffs", &[1.0, 2.0]);
+        let text = w.finish();
+        let huge = text.replace("len 2", "len 4611686018427387904");
+        let err = Reader::new(&huge).f64_seq("coeffs").unwrap_err();
+        assert_eq!(err.line, 2);
+        assert!(err.message.contains("exceeds the"), "{err}");
+        // Truncation: two entries promised, one line left.
+        let short = text.replace("len 2", "len 40");
+        assert!(Reader::new(&short).f64_seq("coeffs").is_err());
     }
 
     #[test]

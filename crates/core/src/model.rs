@@ -5,14 +5,24 @@ use crate::dataset::Corpus;
 use crate::error::AutoPowerError;
 use crate::features::{FeatureScratch, ModelFeatures};
 use crate::logic::LogicPowerModel;
+use crate::pipeline::parallel_map;
 use crate::power_model::{ModelKind, PowerModel, PredictInput};
 use crate::prediction::{ComponentBreakdown, Prediction};
 use crate::serialize::{decode_library, encode_library};
 use crate::sram::SramPowerModel;
 use autopower_config::{ConfigId, CpuConfig, Workload};
+use autopower_ml::parallel::available_threads;
 use autopower_perfsim::EventParams;
 use autopower_techlib::TechLibrary;
 use serde::codec::{Codec, CodecError, Reader, Writer};
+
+/// One power group's fitted model, as a training worker returns it.
+#[derive(Debug)]
+enum SubModel {
+    Clock(ClockPowerModel),
+    Sram(SramPowerModel),
+    Logic(LogicPowerModel),
+}
 
 /// The full AutoPower model: one decoupled model per power group.
 #[derive(Debug, Clone)]
@@ -46,10 +56,25 @@ impl AutoPower {
         train_configs: &[ConfigId],
         sram_features: ModelFeatures,
     ) -> Result<Self, AutoPowerError> {
+        // The three power groups' models are independent fits: they run on
+        // up to three cores and come back in group order, so the model (and
+        // the first error, clock before SRAM before logic) is the serial one.
+        let fitted = parallel_map(available_threads(), 3, |group| match group {
+            0 => ClockPowerModel::train(corpus, train_configs).map(SubModel::Clock),
+            1 => SramPowerModel::train_with_features(corpus, train_configs, sram_features)
+                .map(SubModel::Sram),
+            _ => LogicPowerModel::train(corpus, train_configs).map(SubModel::Logic),
+        });
+        let [clock, sram, logic]: [_; 3] = fitted.try_into().expect("one result per group");
+        let (SubModel::Clock(clock), SubModel::Sram(sram), SubModel::Logic(logic)) =
+            (clock?, sram?, logic?)
+        else {
+            unreachable!("sub-models come back in group order")
+        };
         Ok(Self {
-            clock: ClockPowerModel::train(corpus, train_configs)?,
-            sram: SramPowerModel::train_with_features(corpus, train_configs, sram_features)?,
-            logic: LogicPowerModel::train(corpus, train_configs)?,
+            clock,
+            sram,
+            logic,
             library: corpus.library().clone(),
         })
     }

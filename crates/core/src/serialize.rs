@@ -14,7 +14,7 @@
 //!
 //! ```text
 //! autopower-model {
-//!   version 1
+//!   version 2
 //!   kind mcpat-calib          ; the ModelKind registry tag
 //!   mcpat-calib { ... }       ; the body written by PowerModel::serialize
 //! }
@@ -23,6 +23,34 @@
 //! The registry tag makes the file self-describing: [`load_model`] restores
 //! the concrete type behind a `Box<dyn PowerModel>` without the caller naming
 //! it, exactly like [`ModelKind::train`] does for training.
+//!
+//! Version 2 stores every boosted forest as its distinct tree shapes plus
+//! one line of leaf weights per tree (see the `GradientBoosting` codec in
+//! `autopower_ml`):
+//!
+//! ```text
+//! gbdt {
+//!   gbdt-params { ... }
+//!   base_score 3FE0000000000000 ; 0.5
+//!   n_features 33
+//!   shapes {
+//!     len 7
+//!     s 17:3FA0000000000000,L,L   ; preorder: feature:threshold-bits, L = leaf
+//!     ...
+//!   }
+//!   trees {
+//!     len 120
+//!     t 0/3F8A36E2EB1C432D,BF8A36E2EB1C432D   ; shape index / leaf bits
+//!     ...
+//!   }
+//! }
+//! ```
+//!
+//! The fast-trained AutoPower model is ~1.2 MB in this form (16.8 MB in
+//! version 1, which wrote every tree node as its own scope).  A version 1
+//! file is refused with [`AutoPowerError::ModelFormat`] naming the version:
+//! every model file is rebuilt by `save-model` in seconds, and a second
+//! reader would be a second format to keep correct.
 
 use crate::error::AutoPowerError;
 use crate::power_model::{ModelKind, PowerModel};
@@ -36,7 +64,7 @@ use std::path::Path;
 
 /// Version tag of the serialized model format; bumped on layout changes so a
 /// stale file fails loudly instead of deserializing garbage.
-pub const MODEL_FORMAT_VERSION: u64 = 1;
+pub const MODEL_FORMAT_VERSION: u64 = 2;
 
 /// Serializes a trained model (any registry kind) to the registry-tagged text
 /// format.
@@ -412,7 +440,10 @@ mod tests {
         assert!(matches!(err, AutoPowerError::ModelFormat(_)));
         assert!(err.to_string().contains("version 999"));
 
-        let err = decode_model("autopower-model {\n version 1\n kind xgboost\n}\n").unwrap_err();
+        let err = decode_model(&format!(
+            "autopower-model {{\n version {MODEL_FORMAT_VERSION}\n kind xgboost\n}}\n"
+        ))
+        .unwrap_err();
         assert!(matches!(err, AutoPowerError::UnknownModel(_)));
 
         let err = decode_model("not-a-model {\n}\n").unwrap_err();
@@ -476,6 +507,25 @@ mod tests {
             "format error must name the file: {err}"
         );
         std::fs::remove_file(&garbage).ok();
+    }
+
+    #[test]
+    fn a_version_1_file_is_refused_naming_the_file_and_the_version() {
+        // Version 1 wrote every tree node as its own scope; it is not read.
+        let dir = std::env::temp_dir().join("autopower-serialize-v1-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("old.apm");
+        let v1 = "autopower-model {\n  version 1\n  kind autopower\n  autopower {\n";
+        std::fs::write(&path, v1).unwrap();
+        let err = load_model(&path).unwrap_err();
+        assert!(matches!(err, AutoPowerError::ModelFormat(_)), "{err}");
+        let message = err.to_string();
+        assert!(message.contains("old.apm"), "{message}");
+        assert!(
+            message.contains("unsupported format version 1 (this build reads version 2)"),
+            "{message}"
+        );
+        std::fs::remove_file(&path).ok();
     }
 
     fn two_config_corpus() -> crate::dataset::Corpus {

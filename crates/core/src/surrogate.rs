@@ -43,7 +43,7 @@ use std::path::Path;
 
 /// Version tag of the serialized surrogate format; bumped on layout changes
 /// so a stale file fails loudly instead of deserializing garbage.
-pub const SURROGATE_FORMAT_VERSION: u64 = 1;
+pub const SURROGATE_FORMAT_VERSION: u64 = 2;
 
 /// Seed of the training-set sample of the target space.  Deliberately
 /// distinct from the sweep's own sample seed so the surrogate does not train
@@ -763,6 +763,7 @@ mod tests {
         let text = encode_surrogate(&surrogate);
         let restored = decode_surrogate(&text).unwrap();
         assert_eq!(restored, surrogate);
+        assert_eq!(encode_surrogate(&restored), text);
         // Same predictions bit for bit.
         let config = tiny_space().sample(1, 7)[0];
         let features = SimKey::new(&config, Workload::Dhrystone, &SimConfig::fast()).features();
@@ -779,7 +780,8 @@ mod tests {
     #[test]
     fn decode_rejects_tampered_streams() {
         let text = encode_surrogate(&tiny_surrogate());
-        let bad_version = text.replace("version 1", "version 99");
+        let bad_version =
+            text.replace(&format!("version {SURROGATE_FORMAT_VERSION}"), "version 99");
         assert!(decode_surrogate(&bad_version)
             .unwrap_err()
             .to_string()

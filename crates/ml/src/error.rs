@@ -21,6 +21,8 @@ pub enum FitError {
     NonFiniteValue,
     /// The normal-equation system is singular and cannot be solved.
     SingularSystem,
+    /// A hyper-parameter is out of its range; the message says which.
+    InvalidParams(&'static str),
 }
 
 impl fmt::Display for FitError {
@@ -34,6 +36,7 @@ impl fmt::Display for FitError {
             ),
             FitError::NonFiniteValue => write!(f, "training data contains a non-finite value"),
             FitError::SingularSystem => write!(f, "normal equations are singular"),
+            FitError::InvalidParams(reason) => write!(f, "invalid hyper-parameters: {reason}"),
         }
     }
 }
@@ -56,6 +59,7 @@ mod tests {
             .to_string(),
             FitError::NonFiniteValue.to_string(),
             FitError::SingularSystem.to_string(),
+            FitError::InvalidParams("learning rate must be in (0, 1]").to_string(),
         ];
         for m in msgs {
             assert!(!m.is_empty());

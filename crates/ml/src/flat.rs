@@ -73,11 +73,14 @@ use std::cell::RefCell;
 use std::collections::HashMap;
 use std::hint::select_unpredictable;
 
-/// Depth of a tree rooted at `node` (a bare leaf has depth 0).
-fn node_depth(node: &Node) -> u32 {
-    match node {
+/// Depth of the subtree at `nodes[i]` of a preorder tree (a bare leaf has
+/// depth 0).
+fn node_depth(nodes: &[Node], i: usize) -> u32 {
+    match nodes[i] {
         Node::Leaf { .. } => 0,
-        Node::Split { left, right, .. } => 1 + node_depth(left).max(node_depth(right)),
+        Node::Split { right, .. } => {
+            1 + node_depth(nodes, i + 1).max(node_depth(nodes, right as usize))
+        }
     }
 }
 
@@ -92,11 +95,11 @@ fn node_depth(node: &Node) -> u32 {
 /// exactly zero on the few-shot training sets this crate targets, so late
 /// rounds routinely emit these all-zero trees — skipping them is pure saved
 /// work, pinned bit-identical by the flat-vs-recursive parity tests.
-fn all_leaves_zero(node: &Node) -> bool {
-    match node {
+fn all_leaves_zero(nodes: &[Node]) -> bool {
+    nodes.iter().all(|node| match node {
         Node::Leaf { weight } => *weight == 0.0,
-        Node::Split { left, right, .. } => all_leaves_zero(left) && all_leaves_zero(right),
-    }
+        Node::Split { .. } => true,
+    })
 }
 
 /// Sentinel in [`FlatNode::feature`] marking a leaf node (its `right` slot
@@ -116,14 +119,17 @@ struct FlatNode {
     threshold: f64,
 }
 
-impl FlatNode {
-    /// The dedup key of a node: bit-exact, so `-0.0` and `+0.0` thresholds
-    /// stay distinct shapes (conservative; they route rows identically).
-    fn key(self) -> [u64; 2] {
-        [
-            (u64::from(self.feature) << 32) | u64::from(self.right),
-            self.threshold.to_bits(),
-        ]
+/// The shape-dedup key of a tree node.  A preorder node list with its leaves
+/// marked determines the tree, so the keys of a tree's nodes identify its
+/// shape, and with it the padded shape [`push_node`] lays out.  Thresholds
+/// compare bit-exactly, so `-0.0` and `+0.0` stay distinct shapes
+/// (conservative; they route rows identically).
+fn shape_key(node: &Node) -> [u64; 2] {
+    match *node {
+        Node::Leaf { .. } => [u64::MAX, 0],
+        Node::Split {
+            feature, threshold, ..
+        } => [u64::from(feature), threshold.to_bits()],
     }
 }
 
@@ -238,41 +244,49 @@ impl FlatForest {
         // All-zero trees are bitwise no-ops (see `all_leaves_zero`): dropping
         // them here removes them from every predict path without changing a
         // single output bit.
-        let live: Vec<&Node> = trees
+        let live: Vec<&[Node]> = trees
             .iter()
-            .filter_map(RegressionTree::root_node)
-            .filter(|root| !all_leaves_zero(root))
+            .map(RegressionTree::nodes)
+            .filter(|nodes| !nodes.is_empty() && !all_leaves_zero(nodes))
             .collect();
         let mut forest = Self {
             base_score,
-            depth: live.iter().map(|root| node_depth(root)).max().unwrap_or(0),
+            depth: live
+                .iter()
+                .map(|nodes| node_depth(nodes, 0))
+                .max()
+                .unwrap_or(0),
             ..Self::default()
         };
         let mut known: HashMap<Vec<u64>, u32> = HashMap::new();
         let (mut shape, mut key, mut splits) = (Vec::new(), Vec::new(), Vec::new());
-        for root in live {
-            shape.clear();
+        for nodes in live {
             let leaves = index(forest.leaves.len());
-            let known_splits = splits.len();
-            let mut slots = 0;
-            push_node(
-                root,
-                forest.depth,
-                learning_rate,
-                &mut shape,
-                &mut slots,
-                &mut forest.leaves,
-                &mut splits,
-            );
             key.clear();
-            key.extend(shape.iter().flat_map(|node| node.key()));
+            key.extend(nodes.iter().flat_map(shape_key));
             let shape_id = match known.get(key.as_slice()) {
                 Some(&id) => {
-                    // The shape's splits are already recorded.
-                    splits.truncate(known_splits);
+                    // Leaf slots are numbered in preorder, padded or not.
+                    forest
+                        .leaves
+                        .extend(nodes.iter().filter_map(|node| match node {
+                            Node::Leaf { weight } => Some(learning_rate * weight),
+                            Node::Split { .. } => None,
+                        }));
                     id
                 }
                 None => {
+                    shape.clear();
+                    push_node(
+                        nodes,
+                        0,
+                        forest.depth,
+                        learning_rate,
+                        &mut shape,
+                        &mut 0,
+                        &mut forest.leaves,
+                        &mut splits,
+                    );
                     let id = index(forest.shapes.len());
                     let base = index(forest.nodes.len());
                     forest.shapes.push(base);
@@ -470,19 +484,21 @@ fn index(len: usize) -> u32 {
     u32::try_from(len).expect("forest exceeds u32 indices")
 }
 
-/// Flattens `node` into `shape` (indices relative to the shape's root) with
-/// `levels` walk steps left to spend, numbering leaves in preorder from
-/// `*slots`, appending `learning_rate · weight` per leaf to `leaves` and
-/// every real split's feature and threshold to `splits` (the region table's
-/// grid; padding splits are not recorded).
+/// Flattens the subtree at `nodes[i]` into `shape` (indices relative to the
+/// shape's root) with `levels` walk steps left to spend, numbering leaves in
+/// preorder from `*slots`, appending `learning_rate · weight` per leaf to
+/// `leaves` and every real split's feature and threshold to `splits` (the
+/// region table's grid; padding splits are not recorded).
 ///
 /// A leaf reached with steps to spare gets a chain of pass-through splits
 /// above it — `x[0] <= +∞` always descends left, and the stored right child
 /// aliases the left so even a NaN probe converges — so every root-to-leaf
 /// path takes exactly the forest's depth in steps.  The padded shape reaches
 /// the same leaf as the original tree for every input.
+#[allow(clippy::too_many_arguments)]
 fn push_node(
-    node: &Node,
+    nodes: &[Node],
+    i: usize,
     levels: u32,
     learning_rate: f64,
     shape: &mut Vec<FlatNode>,
@@ -491,7 +507,7 @@ fn push_node(
     splits: &mut Vec<(u32, f64)>,
 ) {
     let idx = index(shape.len());
-    match node {
+    match nodes[i] {
         Node::Leaf { .. } if levels > 0 => {
             shape.push(FlatNode {
                 feature: 0,
@@ -499,7 +515,8 @@ fn push_node(
                 threshold: f64::INFINITY,
             });
             push_node(
-                node,
+                nodes,
+                i,
                 levels - 1,
                 learning_rate,
                 shape,
@@ -520,20 +537,19 @@ fn push_node(
         Node::Split {
             feature,
             threshold,
-            left,
             right,
         } => {
-            let feature = u32::try_from(*feature).expect("feature index fits u32");
             shape.push(FlatNode {
                 feature,
                 right: 0,
-                threshold: *threshold,
+                threshold,
             });
-            splits.push((feature, *threshold));
+            splits.push((feature, threshold));
             // Preorder: the left subtree directly follows its parent, so only
             // the right-child index needs storing.
             push_node(
-                left,
+                nodes,
+                i + 1,
                 levels - 1,
                 learning_rate,
                 shape,
@@ -543,7 +559,8 @@ fn push_node(
             );
             shape[idx as usize].right = index(shape.len());
             push_node(
-                right,
+                nodes,
+                right as usize,
                 levels - 1,
                 learning_rate,
                 shape,
@@ -634,12 +651,11 @@ mod tests {
         }
     }
 
-    fn split(feature: usize, threshold: f64, left: Node, right: Node) -> Node {
+    fn split(feature: u32, threshold: f64, right: u32) -> Node {
         Node::Split {
             feature,
             threshold,
-            left: Box::new(left),
-            right: Box::new(right),
+            right,
         }
     }
 
@@ -650,10 +666,16 @@ mod tests {
     #[test]
     fn signed_zero_thresholds_share_one_interval_boundary() {
         let trees = [
-            split(0, -0.0, leaf(1.0), leaf(2.0)),
-            split(0, 0.0, leaf(4.0), split(1, -1.5, leaf(8.0), leaf(16.0))),
+            vec![split(0, -0.0, 2), leaf(1.0), leaf(2.0)],
+            vec![
+                split(0, 0.0, 2),
+                leaf(4.0),
+                split(1, -1.5, 4),
+                leaf(8.0),
+                leaf(16.0),
+            ],
         ]
-        .map(|root| RegressionTree::from_root(root, 2));
+        .map(|nodes| RegressionTree::from_nodes(nodes, 2));
         let forest = FlatForest::compile(0.25, 0.5, &trees);
         let table = forest
             .regions

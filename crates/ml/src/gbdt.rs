@@ -3,12 +3,14 @@
 use crate::error::FitError;
 use crate::flat::FlatForest;
 use crate::matrix::Matrix;
-use crate::tree::{RegressionTree, TreeParams};
+use crate::tree::{RegressionTree, Shape, TreeParams};
 use crate::{validate_matrix_training_set, validate_training_set, Regressor};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use serde::codec::{Codec, CodecError, Reader, Writer};
+use serde::codec::{parse_u64, Codec, CodecError, Reader, Writer};
+use std::collections::HashMap;
+use std::fmt::Write as _;
 
 /// Hyper-parameters of the gradient-boosting model.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -51,29 +53,39 @@ impl Default for GbdtParams {
 }
 
 impl GbdtParams {
-    /// Validates the hyper-parameters.
+    /// Checks the hyper-parameters: the one check behind [`GradientBoosting`]'s
+    /// fit and its decoder.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if a fraction is outside `(0, 1]` or a count is zero.
-    pub fn validate(&self) {
-        assert!(self.n_estimators > 0, "need at least one boosting round");
-        assert!(
-            self.learning_rate > 0.0 && self.learning_rate <= 1.0,
+    /// Returns [`FitError::InvalidParams`] if a fraction is outside `(0, 1]`,
+    /// the round count is zero or a regulariser is negative (or NaN).
+    pub fn validate(&self) -> Result<(), FitError> {
+        let fraction = |v: f64| v > 0.0 && v <= 1.0;
+        let reason = if self.n_estimators == 0 {
+            "need at least one boosting round"
+        } else if !fraction(self.learning_rate) {
             "learning rate must be in (0, 1]"
-        );
-        assert!(
-            self.subsample > 0.0 && self.subsample <= 1.0,
+        } else if !fraction(self.subsample) {
             "subsample must be in (0, 1]"
-        );
-        assert!(
-            self.colsample > 0.0 && self.colsample <= 1.0,
+        } else if !fraction(self.colsample) {
             "colsample must be in (0, 1]"
-        );
-        assert!(
-            self.lambda >= 0.0 && self.gamma >= 0.0,
+        } else if !(self.lambda >= 0.0 && self.gamma >= 0.0) {
             "regularisers must be non-negative"
-        );
+        } else {
+            return Ok(());
+        };
+        Err(FitError::InvalidParams(reason))
+    }
+
+    /// The hyper-parameters every tree of the ensemble is fitted with.
+    fn tree_params(&self) -> TreeParams {
+        TreeParams {
+            max_depth: self.max_depth,
+            min_child_weight: self.min_child_weight,
+            lambda: self.lambda,
+            gamma: self.gamma,
+        }
     }
 }
 
@@ -94,9 +106,9 @@ pub struct GradientBoosting {
 }
 
 impl GradientBoosting {
-    /// Creates an unfitted model.
+    /// Creates an unfitted model.  The hyper-parameters are checked when it
+    /// is fitted ([`GbdtParams::validate`]).
     pub fn new(params: GbdtParams) -> Self {
-        params.validate();
         Self {
             params,
             base_score: 0.0,
@@ -133,9 +145,10 @@ impl GradientBoosting {
     ///
     /// # Errors
     ///
-    /// Returns [`FitError`] if the data is empty, non-finite, or the target
-    /// length does not match.
+    /// Returns [`FitError`] if the hyper-parameters are invalid, or the data
+    /// is empty, non-finite, or the target length does not match.
     pub fn fit_matrix(&mut self, x: &Matrix, y: &[f64]) -> Result<(), FitError> {
+        self.params.validate()?;
         let width = validate_matrix_training_set(x, y)?;
         let n = x.rows();
         let mut rng = StdRng::seed_from_u64(self.params.seed);
@@ -145,12 +158,7 @@ impl GradientBoosting {
         self.flat = FlatForest::default();
         let mut predictions = vec![self.base_score; n];
 
-        let tree_params = TreeParams {
-            max_depth: self.params.max_depth,
-            min_child_weight: self.params.min_child_weight,
-            lambda: self.params.lambda,
-            gamma: self.params.gamma,
-        };
+        let tree_params = self.params.tree_params();
 
         let all_rows: Vec<usize> = (0..n).collect();
         let all_cols: Vec<usize> = (0..width).collect();
@@ -283,29 +291,82 @@ impl Codec for GbdtParams {
             seed: r.u64("seed")?,
         };
         r.end()?;
-        if params.n_estimators == 0
-            || !(params.learning_rate > 0.0 && params.learning_rate <= 1.0)
-            || !(params.subsample > 0.0 && params.subsample <= 1.0)
-            || !(params.colsample > 0.0 && params.colsample <= 1.0)
-            || !(params.lambda >= 0.0 && params.gamma >= 0.0)
-        {
-            return Err(CodecError::new(
+        params.validate().map_err(|e| {
+            CodecError::new(
                 r.line(),
-                "gbdt-params fail hyper-parameter validation",
-            ));
-        }
+                format!("gbdt-params fail hyper-parameter validation: {e}"),
+            )
+        })?;
         Ok(params)
     }
 }
 
+/// The saved form (format version 2) writes each distinct tree shape of the
+/// forest once and every tree as its shape index plus its leaf weights:
+///
+/// ```text
+/// gbdt {
+///   gbdt-params { ... }
+///   base_score 3FE0000000000000 ; 0.5
+///   n_features 2
+///   shapes {
+///     len 2
+///     s 1:3FF8000000000000,L,L
+///     s L
+///   }
+///   trees {
+///     len 3
+///     t 0/BFB999999999999A,3FB999999999999A
+///     t 1/3F847AE147AE147B
+///     t 0/BF847AE147AE147B,3F847AE147AE147B
+///   }
+/// }
+/// ```
+///
+/// A shape line lists the nodes in preorder, a split as
+/// `feature:threshold-bits` and a leaf as `L`; a tree line lists its leaf
+/// weights in the order of its shape's `L`s.  Shapes are numbered in order
+/// of first use, so the text is canonical.  Every tree of a forest is fitted
+/// with the forest's tree parameters on its `n_features` features, so that
+/// is all a tree needs besides its shape and its leaves; decoding rebuilds
+/// exactly the fitted trees.  Few-shot forests repeat a handful of shapes
+/// (the fast-trained AutoPower model has ~1,000 shapes in 12,480 trees),
+/// which keeps the file small and its read cheap.
 impl Codec for GradientBoosting {
     fn encode(&self, w: &mut Writer) {
         w.begin("gbdt");
         self.params.encode(w);
         w.f64("base_score", self.base_score);
-        w.begin_list("trees", self.trees.len());
+        let n_features = self.trees.first().map_or(0, RegressionTree::n_features);
+        w.u64("n_features", n_features as u64);
+        let mut shapes: Vec<String> = Vec::new();
+        let mut known: HashMap<String, usize> = HashMap::new();
+        let mut tree_shapes = Vec::with_capacity(self.trees.len());
+        let mut line = String::new();
         for tree in &self.trees {
-            tree.encode(w);
+            line.clear();
+            tree.push_shape(&mut line);
+            let id = match known.get(&line) {
+                Some(&id) => id,
+                None => {
+                    known.insert(line.clone(), shapes.len());
+                    shapes.push(line.clone());
+                    shapes.len() - 1
+                }
+            };
+            tree_shapes.push(id);
+        }
+        w.begin_list("shapes", shapes.len());
+        for shape in &shapes {
+            w.str("s", shape);
+        }
+        w.end();
+        w.begin_list("trees", self.trees.len());
+        for (tree, id) in self.trees.iter().zip(tree_shapes) {
+            line.clear();
+            write!(line, "{id}/").expect("writing to a String cannot fail");
+            tree.push_leaves(&mut line);
+            w.str("t", &line);
         }
         w.end();
         w.end();
@@ -315,10 +376,24 @@ impl Codec for GradientBoosting {
         r.begin("gbdt")?;
         let params = GbdtParams::decode(r)?;
         let base_score = r.f64("base_score")?;
+        let n_features = r.u64("n_features")? as usize;
+        let tree_params = params.tree_params();
+        let len = r.begin_list("shapes")?;
+        let mut shapes = Vec::with_capacity(len);
+        for _ in 0..len {
+            let text = r.str("s")?;
+            let shape = Shape::parse(text, n_features)
+                .map_err(|e| CodecError::new(r.line(), format!("field 's': {e}")))?;
+            shapes.push(shape);
+        }
+        r.end()?;
         let len = r.begin_list("trees")?;
         let mut trees = Vec::with_capacity(len);
         for _ in 0..len {
-            trees.push(crate::tree::RegressionTree::decode(r)?);
+            let text = r.str("t")?;
+            let tree = tree_line(text, &shapes, tree_params, n_features)
+                .map_err(|e| CodecError::new(r.line(), format!("field 't': {e}")))?;
+            trees.push(tree);
         }
         r.end()?;
         r.end()?;
@@ -333,6 +408,26 @@ impl Codec for GradientBoosting {
             flat,
         })
     }
+}
+
+/// Reads one `shape/leaves` tree line against the forest's `shapes`.
+fn tree_line(
+    text: &str,
+    shapes: &[Shape],
+    params: TreeParams,
+    n_features: usize,
+) -> Result<RegressionTree, String> {
+    let (id, leaves) = text
+        .split_once('/')
+        .ok_or_else(|| format!("expected 'shape/leaves', found '{text}'"))?;
+    let shape = match parse_u64(id) {
+        Some(id) => usize::try_from(id)
+            .ok()
+            .and_then(|id| shapes.get(id))
+            .ok_or_else(|| format!("shape index {id} out of range ({} shapes)", shapes.len()))?,
+        None => return Err(format!("malformed integer '{id}'")),
+    };
+    shape.tree(leaves, params, n_features)
 }
 
 impl Regressor for GradientBoosting {
@@ -445,12 +540,45 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "learning rate")]
     fn invalid_params_rejected() {
-        let _ = GradientBoosting::new(GbdtParams {
+        let x: Vec<Vec<f64>> = (0..10).map(|i| vec![i as f64]).collect();
+        let y = vec![1.0; 10];
+        let mut m = GradientBoosting::new(GbdtParams {
             learning_rate: 0.0,
             ..GbdtParams::default()
         });
+        assert_eq!(
+            m.fit(&x, &y),
+            Err(FitError::InvalidParams("learning rate must be in (0, 1]"))
+        );
+        assert!(!m.is_fitted());
+    }
+
+    #[test]
+    fn decoding_rebuilds_every_fitted_tree() {
+        // Subsampled rounds grow varied shapes; a depth-0 forest is all
+        // bare leaves.
+        let x: Vec<Vec<f64>> = (0..40)
+            .map(|i| vec![i as f64, (i * 7 % 11) as f64, (i % 3) as f64])
+            .collect();
+        let y: Vec<f64> = x.iter().map(|r| r[0] * r[1] - r[2]).collect();
+        for (max_depth, subsample) in [(4, 0.6), (0, 1.0)] {
+            let mut m = GradientBoosting::new(GbdtParams {
+                max_depth,
+                subsample,
+                ..GbdtParams::default()
+            });
+            m.fit(&x, &y).unwrap();
+            let mut w = Writer::new();
+            m.encode(&mut w);
+            let text = w.finish();
+            let decoded = GradientBoosting::decode(&mut Reader::new(&text)).unwrap();
+            // Trees (parameters, nodes, feature count) and compiled forest.
+            assert_eq!(decoded, m);
+            let mut w = Writer::new();
+            decoded.encode(&mut w);
+            assert_eq!(w.finish(), text);
+        }
     }
 
     #[test]

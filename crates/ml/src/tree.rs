@@ -11,7 +11,8 @@
 
 use crate::error::FitError;
 use crate::matrix::Matrix;
-use serde::codec::{Codec, CodecError, Reader, Writer};
+use serde::codec::{parse_f64_bits, parse_u64, push_bits};
+use std::fmt::Write as _;
 
 /// Hyper-parameters of a single regression tree.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -37,16 +38,19 @@ impl Default for TreeParams {
     }
 }
 
-#[derive(Debug, Clone, PartialEq)]
+/// One node of a fitted tree.  A tree keeps its nodes in preorder, so a
+/// split's left child is the node right after it and only the right child's
+/// index is stored.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) enum Node {
     Leaf {
         weight: f64,
     },
     Split {
-        feature: usize,
+        feature: u32,
         threshold: f64,
-        left: Box<Node>,
-        right: Box<Node>,
+        /// Index of the right child (`x[feature] > threshold`, or NaN).
+        right: u32,
     },
 }
 
@@ -58,7 +62,8 @@ pub(crate) enum Node {
 #[derive(Debug, Clone, PartialEq)]
 pub struct RegressionTree {
     params: TreeParams,
-    root: Option<Node>,
+    /// The fitted nodes in preorder (empty before fitting).
+    nodes: Vec<Node>,
     n_features: usize,
 }
 
@@ -77,6 +82,8 @@ pub(crate) struct FitScratch {
     sorted: Vec<usize>,
     /// Reused right-half buffer for the stable in-place partition.
     partition: Vec<usize>,
+    /// The tree under construction, in preorder; copied out once built.
+    nodes: Vec<Node>,
 }
 
 impl FitScratch {
@@ -103,6 +110,17 @@ struct Builder<'a> {
     sorted: &'a mut [usize],
     /// See [`FitScratch::partition`].
     scratch: &'a mut Vec<usize>,
+    /// See [`FitScratch::nodes`].
+    nodes: &'a mut Vec<Node>,
+}
+
+/// Points the split at `nodes[at]` at the node about to be appended: its
+/// right child, once the left subtree is complete.
+fn set_right(nodes: &mut [Node], at: usize) {
+    let next = u32::try_from(nodes.len()).expect("tree exceeds u32 indices");
+    if let Node::Split { right, .. } = &mut nodes[at] {
+        *right = next;
+    }
 }
 
 /// Stably partitions `seg` by `x[row][feature] <= threshold` (matching rows
@@ -140,7 +158,8 @@ impl Builder<'_> {
         0.5 * (score(gl, hl) + score(gr, hr) - score(gl + gr, hl + hr)) - self.params.gamma
     }
 
-    fn build(&mut self, lo: usize, hi: usize, depth: usize) -> Node {
+    /// Appends the subtree of rows `[lo, hi)` to `nodes`, in preorder.
+    fn build(&mut self, lo: usize, hi: usize, depth: usize) {
         let mut grad_sum = 0.0;
         let mut hess_sum = 0.0;
         for &i in &self.rows[lo..hi] {
@@ -148,9 +167,10 @@ impl Builder<'_> {
             hess_sum += self.hessians[i];
         }
         if depth >= self.params.max_depth || hi - lo < 2 {
-            return Node::Leaf {
+            self.nodes.push(Node::Leaf {
                 weight: self.leaf_weight(grad_sum, hess_sum),
-            };
+            });
+            return;
         }
 
         let n = self.rows.len();
@@ -184,17 +204,20 @@ impl Builder<'_> {
         }
 
         match best {
-            None => Node::Leaf {
+            None => self.nodes.push(Node::Leaf {
                 weight: self.leaf_weight(grad_sum, hess_sum),
-            },
+            }),
             Some((_, feature, threshold)) => {
                 let nl = self.partition(lo, hi, feature, threshold);
-                Node::Split {
-                    feature,
+                let at = self.nodes.len();
+                self.nodes.push(Node::Split {
+                    feature: u32::try_from(feature).expect("feature index fits u32"),
                     threshold,
-                    left: Box::new(self.build(lo, lo + nl, depth + 1)),
-                    right: Box::new(self.build(lo + nl, hi, depth + 1)),
-                }
+                    right: 0,
+                });
+                self.build(lo, lo + nl, depth + 1);
+                set_right(self.nodes, at);
+                self.build(lo + nl, hi, depth + 1);
             }
         }
     }
@@ -218,18 +241,18 @@ impl RegressionTree {
     pub fn new(params: TreeParams) -> Self {
         Self {
             params,
-            root: None,
+            nodes: Vec::new(),
             n_features: 0,
         }
     }
 
-    /// A fitted tree with the given root, for tests that need exact
-    /// thresholds.
+    /// A fitted tree with the given preorder nodes, for tests that need
+    /// exact thresholds.
     #[cfg(test)]
-    pub(crate) fn from_root(root: Node, n_features: usize) -> Self {
+    pub(crate) fn from_nodes(nodes: Vec<Node>, n_features: usize) -> Self {
         Self {
             params: TreeParams::default(),
-            root: Some(root),
+            nodes,
             n_features,
         }
     }
@@ -340,9 +363,12 @@ impl RegressionTree {
             rows: &mut scratch.rows,
             sorted: &mut scratch.sorted,
             scratch: &mut scratch.partition,
+            nodes: &mut scratch.nodes,
         };
+        builder.nodes.clear();
+        builder.build(0, n, 0);
         self.n_features = x.cols();
-        self.root = Some(builder.build(0, n, 0));
+        self.nodes = scratch.nodes.clone();
         Ok(())
     }
 
@@ -368,20 +394,20 @@ impl RegressionTree {
     ///
     /// Panics if called before a successful fit.
     pub fn predict(&self, x: &[f64]) -> f64 {
-        let mut node = self.root.as_ref().expect("predict called before fit");
+        assert!(!self.nodes.is_empty(), "predict called before fit");
+        let mut i = 0;
         loop {
-            match node {
-                Node::Leaf { weight } => return *weight,
+            match self.nodes[i] {
+                Node::Leaf { weight } => return weight,
                 Node::Split {
                     feature,
                     threshold,
-                    left,
                     right,
                 } => {
-                    node = if x[*feature] <= *threshold {
-                        left
+                    i = if x[feature as usize] <= threshold {
+                        i + 1
                     } else {
-                        right
+                        right as usize
                     };
                 }
             }
@@ -390,136 +416,206 @@ impl RegressionTree {
 
     /// Number of leaves of the fitted tree (0 before fitting).
     pub fn leaf_count(&self) -> usize {
-        fn count(node: &Node) -> usize {
-            match node {
-                Node::Leaf { .. } => 1,
-                Node::Split { left, right, .. } => count(left) + count(right),
-            }
-        }
-        self.root.as_ref().map_or(0, count)
+        self.nodes
+            .iter()
+            .filter(|node| matches!(node, Node::Leaf { .. }))
+            .count()
     }
 
-    /// The fitted root node, for the flat-forest compiler.
-    pub(crate) fn root_node(&self) -> Option<&Node> {
-        self.root.as_ref()
+    /// The fitted nodes in preorder (empty before fitting), for the
+    /// flat-forest compiler.
+    pub(crate) fn nodes(&self) -> &[Node] {
+        &self.nodes
     }
 }
 
-impl Codec for Node {
-    fn encode(&self, w: &mut Writer) {
-        match self {
-            Node::Leaf { weight } => {
-                w.begin("leaf");
-                w.f64("weight", *weight);
-                w.end();
-            }
-            Node::Split {
-                feature,
-                threshold,
-                left,
-                right,
-            } => {
-                w.begin("split");
-                w.u64("feature", *feature as u64);
-                w.f64("threshold", *threshold);
-                left.encode(w);
-                right.encode(w);
-                w.end();
-            }
-        }
-    }
+// --- the saved form: a tree as its shape plus its leaves -----------------
+//
+// A fitted tree is exactly its shape (the preorder split features,
+// thresholds and node layout) plus its leaf weights; its `TreeParams` and
+// `n_features` are its forest's.  The forest codec
+// ([`GradientBoosting`](crate::GradientBoosting)) writes each distinct shape
+// once and every tree as a shape index plus its leaves, so these are text
+// tokens rather than scopes.
 
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Node::decode_bounded(r, 0)
-    }
-}
-
-/// Deepest split nesting a decoded tree may carry.  Fitted trees are
+/// Deepest split nesting a decoded shape may carry.  Fitted trees are
 /// single-digit deep ([`TreeParams::max_depth`]); the bound only exists so a
-/// corrupted or crafted file fails with a [`CodecError`] instead of
-/// overflowing the stack through unbounded recursion.
+/// corrupted or crafted file fails with an error instead of overflowing the
+/// stack through unbounded recursion.
 const MAX_DECODE_DEPTH: usize = 64;
 
-impl Node {
-    fn decode_bounded(r: &mut Reader<'_>, depth: usize) -> Result<Self, CodecError> {
+/// A tree shape read back from [`RegressionTree::push_shape`]'s text: the
+/// nodes of every tree of that shape, leaf weights still zero.
+#[derive(Debug)]
+pub(crate) struct Shape {
+    /// The nodes in preorder; a complete tree.
+    nodes: Vec<Node>,
+    /// How many of the nodes are leaves.
+    leaves: usize,
+}
+
+impl RegressionTree {
+    /// Number of features the tree was fitted on.
+    pub(crate) fn n_features(&self) -> usize {
+        self.n_features
+    }
+
+    /// Appends the tree's shape: its nodes in preorder, comma-separated, a
+    /// split as `feature:threshold` (the threshold's 16 hex digits of
+    /// IEEE-754 bits) and a leaf as `L`.  Trees with the same shape text
+    /// send every row to the same leaf slot.
+    pub(crate) fn push_shape(&self, out: &mut String) {
+        let mut separator = "";
+        for node in &self.nodes {
+            out.push_str(separator);
+            separator = ",";
+            match *node {
+                Node::Leaf { .. } => out.push('L'),
+                Node::Split {
+                    feature, threshold, ..
+                } => {
+                    write!(out, "{feature}:").expect("writing to a String cannot fail");
+                    push_bits(out, threshold);
+                }
+            }
+        }
+    }
+
+    /// Appends the tree's leaf weights in preorder (the order of the `L`s
+    /// of its shape), comma-separated, each as 16 hex digits of its bits.
+    pub(crate) fn push_leaves(&self, out: &mut String) {
+        let mut separator = "";
+        for node in &self.nodes {
+            if let Node::Leaf { weight } = *node {
+                out.push_str(separator);
+                separator = ",";
+                push_bits(out, weight);
+            }
+        }
+    }
+}
+
+impl Shape {
+    /// Reads a [`RegressionTree::push_shape`] token whose splits may read
+    /// features `0..n_features`.
+    ///
+    /// # Errors
+    ///
+    /// Returns the reason the text is not such a shape: a malformed entry,
+    /// feature or threshold, a feature out of range, nesting deeper than
+    /// [`MAX_DECODE_DEPTH`] splits, or entries missing or left over.
+    pub(crate) fn parse(text: &str, n_features: usize) -> Result<Self, String> {
+        let mut shape = Self {
+            nodes: Vec::new(),
+            leaves: 0,
+        };
+        let mut entries = text.split(',');
+        shape.parse_node(&mut entries, 0, n_features)?;
+        match entries.next() {
+            None => Ok(shape),
+            Some(entry) => Err(format!("entry '{entry}' after a complete tree")),
+        }
+    }
+
+    fn parse_node<'a>(
+        &mut self,
+        entries: &mut impl Iterator<Item = &'a str>,
+        depth: usize,
+        n_features: usize,
+    ) -> Result<(), String> {
         if depth > MAX_DECODE_DEPTH {
-            return Err(CodecError::new(
-                r.line(),
-                format!("tree nests deeper than {MAX_DECODE_DEPTH} splits"),
-            ));
+            return Err(format!("tree nests deeper than {MAX_DECODE_DEPTH} splits"));
         }
-        // Peek for the leaf shape first; trees are shallow (max_depth is
-        // single-digit), so a two-way branch on the tag keeps this simple.
-        if r.try_begin("leaf")? {
-            let weight = r.f64("weight")?;
-            r.end()?;
-            return Ok(Node::Leaf { weight });
+        let entry = entries
+            .next()
+            .ok_or("shape ends before its tree is complete")?;
+        if entry == "L" {
+            self.nodes.push(Node::Leaf { weight: 0.0 });
+            self.leaves += 1;
+            return Ok(());
         }
-        r.begin("split")?;
-        let feature = r.u64("feature")? as usize;
-        let threshold = r.f64("threshold")?;
-        let left = Box::new(Node::decode_bounded(r, depth + 1)?);
-        let right = Box::new(Node::decode_bounded(r, depth + 1)?);
-        r.end()?;
-        Ok(Node::Split {
+        let (feature, threshold) = entry
+            .split_once(':')
+            .ok_or_else(|| format!("malformed entry '{entry}'"))?;
+        let feature = match parse_u64(feature) {
+            Some(f) if f < n_features as u64 => {
+                u32::try_from(f).map_err(|_| format!("split feature {f} exceeds u32"))?
+            }
+            Some(f) => {
+                return Err(format!(
+                    "split feature {f} out of range ({n_features} features)"
+                ))
+            }
+            None => return Err(format!("malformed integer '{feature}'")),
+        };
+        let threshold =
+            parse_f64_bits(threshold).ok_or_else(|| format!("malformed bits '{threshold}'"))?;
+        let at = self.nodes.len();
+        self.nodes.push(Node::Split {
             feature,
             threshold,
-            left,
-            right,
-        })
-    }
-}
-
-impl Codec for TreeParams {
-    fn encode(&self, w: &mut Writer) {
-        w.begin("tree-params");
-        w.u64("max_depth", self.max_depth as u64);
-        w.f64("min_child_weight", self.min_child_weight);
-        w.f64("lambda", self.lambda);
-        w.f64("gamma", self.gamma);
-        w.end();
+            right: 0,
+        });
+        self.parse_node(entries, depth + 1, n_features)?;
+        set_right(&mut self.nodes, at);
+        self.parse_node(entries, depth + 1, n_features)
     }
 
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        r.begin("tree-params")?;
-        let params = Self {
-            max_depth: r.u64("max_depth")? as usize,
-            min_child_weight: r.f64("min_child_weight")?,
-            lambda: r.f64("lambda")?,
-            gamma: r.f64("gamma")?,
+    /// The tree of this shape whose leaf weights are the
+    /// [`RegressionTree::push_leaves`] token `leaves`, fitted with `params`
+    /// on `n_features` features.
+    ///
+    /// # Errors
+    ///
+    /// Returns the reason `leaves` does not fit the shape: another number of
+    /// weights than the shape has leaves, or a malformed weight.
+    pub(crate) fn tree(
+        &self,
+        leaves: &str,
+        params: TreeParams,
+        n_features: usize,
+    ) -> Result<RegressionTree, String> {
+        // Every weight is 16 hex digits and the separators single commas, so
+        // a well-formed token is read at fixed offsets; any other text is
+        // explained by `leaf_error`.
+        let mut nodes = self.nodes.clone();
+        let well_formed = leaves.len() + 1 == 17 * self.leaves && {
+            let mut at = 0;
+            nodes.iter_mut().all(|node| match node {
+                Node::Leaf { weight } => {
+                    let parsed = leaves.get(at..at + 16).and_then(parse_f64_bits);
+                    let separated = matches!(leaves.as_bytes().get(at + 16), None | Some(b','));
+                    at += 17;
+                    parsed.map(|w| *weight = w).is_some() && separated
+                }
+                Node::Split { .. } => true,
+            })
         };
-        r.end()?;
-        Ok(params)
-    }
-}
-
-impl Codec for RegressionTree {
-    fn encode(&self, w: &mut Writer) {
-        w.begin("tree");
-        self.params.encode(w);
-        w.u64("n_features", self.n_features as u64);
-        w.bool("fitted", self.root.is_some());
-        if let Some(root) = &self.root {
-            root.encode(w);
+        if !well_formed {
+            return Err(self.leaf_error(leaves));
         }
-        w.end();
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        r.begin("tree")?;
-        let params = TreeParams::decode(r)?;
-        let n_features = r.u64("n_features")? as usize;
-        let root = if r.bool("fitted")? {
-            Some(Node::decode(r)?)
-        } else {
-            None
-        };
-        r.end()?;
-        Ok(Self {
+        Ok(RegressionTree {
             params,
-            root,
+            nodes,
             n_features,
         })
+    }
+
+    /// Why `leaves` is not this shape's leaf weights: their count, or the
+    /// first malformed weight.
+    fn leaf_error(&self, leaves: &str) -> String {
+        let count = leaves.split(',').count();
+        if count != self.leaves {
+            return format!(
+                "{count} leaf weights for a shape with {} leaves",
+                self.leaves
+            );
+        }
+        let token = leaves
+            .split(',')
+            .find(|token| parse_f64_bits(token).is_none())
+            .unwrap_or(leaves);
+        format!("malformed bits '{token}'")
     }
 }
 

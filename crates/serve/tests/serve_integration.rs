@@ -402,6 +402,45 @@ fn corrupt_reload_is_refused_and_the_old_model_keeps_serving() {
 }
 
 #[test]
+fn a_model_file_torn_mid_line_is_refused_on_reload_and_the_old_model_keeps_serving() {
+    let fx = fixture();
+    let path = scratch_path("torn");
+    std::fs::copy(&fx.autopower, &path).expect("seed the served file");
+
+    let server = start_server(vec![path.clone()], ServeOptions::fast());
+    let mut client = connect(&server);
+    let configs = DesignSpace::boom().sample(2, 29);
+    let workloads = [Workload::Qsort];
+    let reference = offline_points(&fx.autopower, &configs, &workloads);
+
+    // Cut the file in the middle of a tree line, the way a copy interrupted
+    // part-way leaves it.
+    let text = std::fs::read_to_string(&fx.autopower).expect("read the saved model");
+    let start = text
+        .match_indices('\n')
+        .map(|(n, _)| n + 1)
+        .find(|&n| text[n..].trim_start().starts_with("t "))
+        .expect("a tree line");
+    let line_len = text[start..].find('\n').expect("a whole line");
+    std::fs::write(&path, &text[..start + line_len / 2]).expect("tear the served file");
+    match client.reload() {
+        Err(ClientError::Server { code, message }) => {
+            assert_eq!(code, ErrorCode::ReloadFailed);
+            assert!(
+                message.contains(&path.display().to_string()),
+                "path missing from: {message}"
+            );
+        }
+        other => panic!("expected reload-failed, got {other:?}"),
+    }
+    let served = client
+        .predict(ModelKind::AutoPower, &configs, &workloads)
+        .expect("predict after refused reload");
+    assert_matches_offline(&served, &reference);
+    stop(server);
+}
+
+#[test]
 fn malformed_frames_get_error_frames_and_the_connection_survives() {
     let fx = fixture();
     let server = start_server(vec![fx.autopower.clone()], ServeOptions::fast());

@@ -6,8 +6,8 @@
 
 use autopower_repro::config::{boom_configs, ConfigId, DesignSpace, Workload};
 use autopower_repro::model::{
-    decode_model, encode_model, Corpus, CorpusSpec, ModelKind, SweepEngine, SweepSpec,
-    MODEL_FORMAT_VERSION,
+    decode_model, encode_model, AutoPowerError, Corpus, CorpusSpec, ModelKind, SweepEngine,
+    SweepSpec, MODEL_FORMAT_VERSION,
 };
 use std::sync::OnceLock;
 
@@ -140,7 +140,7 @@ type Tamper = fn(&str) -> String;
 
 /// Rewrites the value of the first line whose field is `name` with
 /// `tamper`, and returns the new text and that line's 1-based number.
-fn corrupt_value(text: &str, name: &str, tamper: Tamper) -> (String, usize) {
+fn corrupt_value(text: &str, name: &str, tamper: &dyn Fn(&str) -> String) -> (String, usize) {
     let mut lines: Vec<String> = text.lines().map(str::to_owned).collect();
     let index = lines
         .iter()
@@ -154,27 +154,175 @@ fn corrupt_value(text: &str, name: &str, tamper: Tamper) -> (String, usize) {
     (lines.join("\n") + "\n", index + 1)
 }
 
+/// The text of the fast-trained AutoPower model of [`corpus`].
+fn autopower_text() -> &'static str {
+    static TEXT: OnceLock<String> = OnceLock::new();
+    TEXT.get_or_init(|| {
+        let trained = ModelKind::AutoPower.train(corpus(), &train_ids()).unwrap();
+        encode_model(trained.as_ref())
+    })
+}
+
+/// The offset just past the first `sep` in a shape or tree token: the first
+/// threshold of `2:3FD5…,L,L` starts at `after(v, ':')`.
+fn after(value: &str, sep: char) -> usize {
+    value
+        .find(sep)
+        .unwrap_or_else(|| panic!("no '{sep}' in '{value}'"))
+        + 1
+}
+
 #[test]
 fn a_signed_scalar_in_a_saved_model_is_refused_with_its_line() {
-    let trained = ModelKind::AutoPower.train(corpus(), &train_ids()).unwrap();
-    let text = encode_model(trained.as_ref());
+    let text = autopower_text();
     // The writer never signs a value, so a signed one is corruption even
-    // where the digits would still parse: `+3FF000000000000` keeps the
-    // 16-character shape of an f64 field, and `+N` parses as a u64.
+    // where the digits would still parse: `+FD5A9F94286EC77` keeps the
+    // 16-character shape of an f64, and `+N` parses as a u64.  A shape line
+    // (`s`) holds the split features and thresholds, a tree line (`t`) the
+    // leaf weights.
     let cases: [(&str, Tamper, &str); 4] = [
-        ("threshold", |v| format!("+{}", &v[1..]), "malformed bits"),
+        (
+            "s",
+            |v| {
+                let at = after(v, ':');
+                format!("{}+{}", &v[..at], &v[at + 1..])
+            },
+            "malformed bits",
+        ),
         ("len", |v| format!("+{v}"), "malformed integer"),
-        ("feature", |v| format!("-{v}"), "malformed integer"),
-        ("weight", |v| format!("{}g", &v[1..]), "malformed bits"),
+        ("s", |v| format!("-{v}"), "malformed integer"),
+        (
+            "t",
+            |v| {
+                let at = after(v, '/');
+                format!("{}g{}", &v[..at], &v[at + 1..])
+            },
+            "malformed bits",
+        ),
     ];
     for (name, tamper, kind) in cases {
-        let (tampered, line) = corrupt_value(&text, name, tamper);
+        let (tampered, line) = corrupt_value(text, name, &tamper);
         let err = decode_model(&tampered).unwrap_err().to_string();
         assert!(
             err.contains(&format!("line {line}: field '{name}': {kind}")),
             "{name}: {err}"
         );
     }
+}
+
+/// Asserts `text` is refused as a malformed model file whose error names
+/// `line` and contains `what`.
+fn assert_refused(text: &str, line: usize, what: &str) {
+    match decode_model(text) {
+        Err(err @ AutoPowerError::ModelFormat(_)) => {
+            let message = err.to_string();
+            assert!(
+                message.contains(&format!("line {line}: ")) && message.contains(what),
+                "expected line {line} and '{what}' in: {message}"
+            );
+        }
+        other => panic!("expected a ModelFormat refusal ({what}), got {other:?}"),
+    }
+}
+
+/// Rewrites the value of a shape (`s`) or tree (`t`) line.
+type Craft = Box<dyn Fn(&str) -> String>;
+
+#[test]
+fn crafted_forest_lines_are_refused_with_their_line() {
+    let text = autopower_text();
+    let n_features: usize = text
+        .lines()
+        .find_map(|line| line.trim().strip_prefix("n_features "))
+        .unwrap()
+        .parse()
+        .unwrap();
+    let shapes: usize = {
+        let mut lines = text.lines().skip_while(|line| line.trim() != "shapes {");
+        lines.nth(1).unwrap().trim()["len ".len()..]
+            .parse()
+            .unwrap()
+    };
+    let deep_shape = |v: &str| {
+        let split = &v[..after(v, ',')];
+        format!("{}{}L", split.repeat(65), "L,".repeat(65))
+    };
+    let cases: [(&str, Craft, String); 8] = [
+        (
+            "len",
+            Box::new(|_| (1u64 << 62).to_string()),
+            "entries exceeds the".to_owned(),
+        ),
+        (
+            "t",
+            Box::new(move |v| format!("{shapes}{}", &v[after(v, '/') - 1..])),
+            format!("shape index {shapes} out of range ({shapes} shapes)"),
+        ),
+        (
+            "t",
+            Box::new(|v| format!("{v},3FF0000000000000")),
+            "leaf weights for a shape with".to_owned(),
+        ),
+        (
+            "s",
+            Box::new(move |v| format!("{n_features}{}", &v[after(v, ':') - 1..])),
+            format!("split feature {n_features} out of range ({n_features} features)"),
+        ),
+        (
+            "s",
+            Box::new(deep_shape),
+            "tree nests deeper than 64 splits".to_owned(),
+        ),
+        (
+            "t",
+            Box::new(|v| {
+                let at = after(v, '/');
+                format!("{}-{}", &v[..at], &v[at + 1..])
+            }),
+            "malformed bits '-".to_owned(),
+        ),
+        (
+            "s",
+            Box::new(|v| {
+                let at = after(v, ':');
+                format!("{}x{}", &v[..at], &v[at + 1..])
+            }),
+            "malformed bits 'x".to_owned(),
+        ),
+        (
+            "s",
+            Box::new(|v| format!("{v},L")),
+            "entry 'L' after a complete tree".to_owned(),
+        ),
+    ];
+    for (name, tamper, what) in &cases {
+        let (tampered, line) = corrupt_value(text, name, tamper);
+        assert_refused(&tampered, line, what);
+    }
+}
+
+#[test]
+fn every_torn_prefix_of_a_saved_model_is_refused() {
+    // A file cut short (a copy interrupted, a disk filled) must never load
+    // as a model.  Cuts both just after a newline and inside a line, spread
+    // over the whole file, so they land in every kind of line, the shape
+    // and tree lists included.  Only the last two bytes are spared: without
+    // its final newline the closing `}` still completes the document.
+    let text = autopower_text();
+    let cuts = 32;
+    let mut refused = 0;
+    for i in 1..=cuts {
+        let mid_line = (text.len() - 2) * i / (cuts + 1);
+        let line_end = text[..mid_line].rfind('\n').map_or(0, |n| n + 1);
+        for cut in [mid_line, line_end] {
+            match decode_model(&text[..cut]) {
+                Err(AutoPowerError::ModelFormat(_)) => refused += 1,
+                other => panic!("a {cut}-byte prefix was not refused: {other:?}"),
+            }
+        }
+    }
+    assert_eq!(refused, 2 * cuts);
+    assert!(decode_model(&text[..text.len() - 1]).is_ok());
 }
 
 #[test]
